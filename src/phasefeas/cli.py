@@ -157,6 +157,8 @@ def read_measurements(path, n):
                 nums = [float(tok) for tok in row]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
+            if not all(math.isfinite(v) for v in nums):
+                raise ValueError(f"{path}:{lineno}: non-finite entry")
             if len(nums) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(nums)}")
             if field == REAL:
@@ -168,9 +170,14 @@ def read_measurements(path, n):
             values.append(nums[-1])
     if not vectors:
         raise ValueError(f"{path}: no measurement rows")
+    b = np.asarray(values)
+    # All-zero b is the exact data of x = 0 and is left to the solver; b <= 0
+    # with a negative entry is the data of no signal at all.
+    if not np.any(b > 0) and np.any(b < 0):
+        raise ValueError(f"{path}: no positive measurement in b")
     Z = np.asarray(vectors)
     e = SensingEnsemble(n=n, m=Z.shape[0], field=field, vectors=Z, seed=None)
-    return e, MeasurementVector(values=np.asarray(values), epsilon=0.0)
+    return e, MeasurementVector(values=b, epsilon=0.0)
 
 
 def cmd_solve(args):

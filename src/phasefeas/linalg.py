@@ -81,11 +81,11 @@ def eig(X):
     values, vectors = np.linalg.eigh(X)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()
-    for j in range(vectors.shape[1]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        pivot = vectors[k, j]
-        if pivot != 0:
-            vectors[:, j] *= np.conj(pivot) / abs(pivot)
+    # eigh columns are unit-norm, so no pivot is zero.  The modulus comes
+    # from np.hypot, which rounds as scalar abs() does; np.abs of a complex
+    # array can differ in the last bit, and the tests pin phases bitwise.
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors *= np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
     return EigenDecomposition(values, vectors)
 
 

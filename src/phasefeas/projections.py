@@ -66,10 +66,15 @@ def project_affine(p, e, X):
 
 
 def project_psd(X):
-    """Nearest positive semidefinite matrix: clamp negative eigenvalues to 0."""
+    """Nearest positive semidefinite matrix: clamp negative eigenvalues to 0.
+
+    Rebuilt from the r positive eigenpairs only (values are descending), so
+    the product costs n*n*r instead of n^3; r = 0 gives exact zeros.
+    """
     d = eig(X)
-    clamped = np.maximum(d.values, 0.0)
-    return hermitize((d.vectors * clamped) @ d.vectors.conj().T)
+    r = int(np.count_nonzero(d.values > 0))
+    V = d.vectors[:, :r]
+    return hermitize((V * d.values[:r]) @ V.conj().T)
 
 
 def leading_eigenvector(X):

@@ -76,7 +76,8 @@ def apply_lifted(e, X):
     X = require_square(X)
     if X.shape[0] != e.n:
         raise ValueError(f"dimension mismatch: X is {X.shape}, ensemble n={e.n}")
-    return np.real(np.einsum("ij,jk,ik->i", e.vectors.conj(), X, e.vectors))
+    Z = e.vectors
+    return np.real(np.sum((Z.conj() @ X) * Z, axis=1))
 
 
 def apply_adjoint(e, lam):

@@ -136,6 +136,26 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(path), "--n", "3", "--seed", "0"]) == 1
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["0.3,1.0,nan", "0.3,1.0,inf", "inf,1.0,2.0", "0.3,-inf,2.0"],
+                             ids=["b-nan", "b-inf", "z-inf", "z-neg-inf"])
+    def test_non_finite_exit_2(self, tmp_path, capsys, row):
+        path = tmp_path / "nf.csv"
+        path.write_text(f"z_1,z_2,b\n1.0,0.5,2.0\n{row}\n")
+        assert main(["solve", "--input", str(path), "--n", "2", "--seed", "0"]) == 2
+        assert "nf.csv:3: non-finite entry" in capsys.readouterr().err
+
+    def test_no_positive_measurement_exit_2(self, tmp_path, capsys):
+        e = sample_ensemble(3, 10, seed=7)
+        b = measure(e, np.ones(3))
+        b.values[4] = -0.5  # one negative entry, as noise can give, stays accepted
+        path = tmp_path / "neg.csv"
+        write_measurements(path, e, b)
+        assert np.array_equal(read_measurements(path, 3)[1].values, b.values)
+        b.values[:] = -np.abs(b.values)
+        write_measurements(path, e, b)
+        assert main(["solve", "--input", str(path), "--n", "3", "--seed", "0"]) == 2
+        assert "no positive measurement" in capsys.readouterr().err
+
     def test_non_numeric_exit_2(self, tmp_path):
         path = tmp_path / "nn.csv"
         path.write_text("z_1,z_2,b\n1.0,oops,3.0\n")

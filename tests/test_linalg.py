@@ -20,6 +20,19 @@ def e(i, n):
     return v
 
 
+def eig_loop_reference(X):
+    """The per-column phase fix that eig vectorizes, kept as its oracle."""
+    values, vectors = np.linalg.eigh(X)
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1].copy()
+    for j in range(vectors.shape[1]):
+        k = int(np.argmax(np.abs(vectors[:, j])))
+        pivot = vectors[k, j]
+        if pivot != 0:
+            vectors[:, j] *= np.conj(pivot) / abs(pivot)
+    return values, vectors
+
+
 class TestEig:
     def test_diagonal(self):
         d = eig(np.diag([1.0, 2.0, 3.0]))
@@ -62,6 +75,28 @@ class TestEig:
             k = int(np.argmax(np.abs(d.vectors[:, j])))
             pivot = d.vectors[k, j]
             assert abs(pivot.imag) < 1e-14 and pivot.real > 0
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_matches_loop_reference_bitwise(self, field, n):
+        rng = np.random.default_rng(43 + n)
+        for _ in range(10):
+            X = rand_hermitian(rng, n, field)
+            values, vectors = eig_loop_reference(X)
+            d = eig(X)
+            assert np.array_equal(d.values, values)
+            assert np.array_equal(d.vectors, vectors)
+
+    @pytest.mark.parametrize("X", [np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                   np.array([[0.0, 1j], [-1j, 0.0]])])
+    def test_tied_magnitudes_pick_first_index(self, X):
+        raw = np.abs(np.linalg.eigh(X)[1])
+        assert np.all(raw[0] == raw[1])  # every column is an exact tie
+        values, vectors = eig_loop_reference(X)
+        d = eig(X)
+        assert np.array_equal(d.values, values)
+        assert np.array_equal(d.vectors, vectors)
+        assert np.all(d.vectors[0].imag == 0.0) and np.all(d.vectors[0].real > 0)
 
     def test_nonfinite_rejected(self):
         X = np.eye(3)

@@ -135,10 +135,17 @@ class TestProjectPsd:
         assert np.allclose(project_psd(np.diag([3.0, -2.0])), np.diag([3.0, 0.0]))
 
     def test_psd_unchanged(self):
+        # full rank keeps every eigenpair (r = n); its negation keeps none
+        # (r = 0) and must come back as exact zeros
         rng = np.random.default_rng(11)
         B = rng.standard_normal((4, 4))
         X = B @ B.T
         assert np.max(np.abs(project_psd(X) - X)) <= 1e-10 * schatten_norm(X, 2)
+        assert np.array_equal(project_psd(-X), np.zeros((4, 4)))
+        C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        Y = C @ C.conj().T
+        assert np.max(np.abs(project_psd(Y) - Y)) <= 1e-10 * schatten_norm(Y, 2)
+        assert np.array_equal(project_psd(-Y), np.zeros((4, 4)))
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_output_psd(self, field):

@@ -103,14 +103,18 @@ class TestLiftedOperators:
         assert np.all(apply_adjoint(e, np.zeros(7)) == 0.0)
 
     @pytest.mark.parametrize("field", FIELDS)
-    @pytest.mark.parametrize("n,m", [(3, 5), (10, 40)])
+    @pytest.mark.parametrize("n,m", [(3, 5), (10, 40), (1, 1), (1, 6), (4, 1)])
     def test_adjoint_identity(self, field, n, m):
         rng = np.random.default_rng(11)
         e = sample_ensemble(n, m, field, seed=11)
         for _ in range(25):
             X = rand_hermitian(rng, n, field)
             lam = rng.standard_normal(m)
-            lhs = float(apply_lifted(e, X) @ lam)
+            lifted = apply_lifted(e, X)
+            oracle = np.real([z.conj() @ X @ z for z in e.vectors])
+            assert lifted.shape == (m,)
+            assert np.max(np.abs(lifted - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
+            lhs = float(lifted @ lam)
             rhs = hs_inner(X, apply_adjoint(e, lam))
             scale = max(1.0, abs(lhs))
             assert abs(lhs - rhs) <= 1e-10 * scale
