@@ -22,6 +22,7 @@ from .harness import (
     TrialRow,
     cell_means,
     emit_heatmap,
+    run_certify_study,
     run_convergence_study,
     run_grid,
     run_trial,
@@ -67,6 +68,7 @@ from .solvers import (
     SolverTrace,
     TracePoint,
     round_to_vector,
+    solve,
     solve_dr,
     solve_nesterov,
     solve_pocs,

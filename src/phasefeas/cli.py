@@ -8,19 +8,17 @@ import sys
 
 import numpy as np
 
-from .certificate import CertificateParams, build_certificate, check_certificate
 from .harness import (
     GridSpec,
     emit_heatmap,
+    run_certify_study,
     run_convergence_study,
     run_grid,
-    sample_unit_sphere,
     write_grid_csv,
 )
 from .linalg import COMPLEX, REAL
-from .projections import build_affine_projector
-from .sensing import MeasurementVector, SensingEnsemble, derive_seed, sample_ensemble
-from .solvers import SolverConfig, round_to_vector, solve_dr
+from .sensing import MeasurementVector, SensingEnsemble
+from .solvers import SolverConfig, round_to_vector, solve
 
 
 def parse_range(text):
@@ -96,44 +94,14 @@ def cmd_converge(args):
 
 
 def cmd_certify(args):
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for k in range(args.seeds):
-        seed_k = derive_seed(args.seed, k)
-        anchor = sample_unit_sphere(args.n, derive_seed(seed_k, 0))
-        e = sample_ensemble(args.n, args.m, REAL, derive_seed(seed_k, 1))
-        Y, lam = build_certificate(e, CertificateParams(anchor=anchor, beta=args.beta))
-        rows.append((k, seed_k, check_certificate(Y, lam, anchor)))
-    with open(os.path.join(args.out, "certificates.csv"), "w") as fh:
-        fh.write("trial,seed,y_t_nuclear,t_perp_min_eig,t_perp_dev,lambda_l1,"
-                 "truncation_rate,pass_y_t,pass_t_perp,pass_lambda\n")
-        for k, seed_k, r in rows:
-            fh.write(f"{k},{seed_k},{r.y_t_nuclear!r},{r.t_perp_min_eig!r},"
-                     f"{r.t_perp_dev!r},{r.lambda_l1!r},{r.truncation_rate!r},"
-                     f"{int(r.pass_y_t)},{int(r.pass_t_perp)},{int(r.pass_lambda)}\n")
-    reports = [r for _, _, r in rows]
-    count = len(reports)
-    summary = [
-        f"n={args.n}",
-        f"m={args.m}",
-        f"beta={args.beta!r}",
-        f"seeds={count}",
-        f"mean_y_t_nuclear={sum(r.y_t_nuclear for r in reports) / count!r}",
-        f"mean_t_perp_min_eig={sum(r.t_perp_min_eig for r in reports) / count!r}",
-        f"mean_lambda_l1={sum(r.lambda_l1 for r in reports) / count!r}",
-        f"mean_truncation_rate={sum(r.truncation_rate for r in reports) / count!r}",
-        f"frac_pass_y_t={sum(r.pass_y_t for r in reports) / count!r}",
-        f"frac_pass_t_perp={sum(r.pass_t_perp for r in reports) / count!r}",
-        f"frac_pass_lambda={sum(r.pass_lambda for r in reports) / count!r}",
-        f"frac_pass_all={sum(r.all_pass for r in reports) / count!r}",
-    ]
-    with open(os.path.join(args.out, "summary.txt"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
+    run_certify_study(args.n, args.m, args.beta, args.seeds, args.seed, args.out)
     return 0
 
 
 def read_measurements(path, n):
     """Parse `z_1..z_n,b` (real) or interleaved `re_k,im_k` columns (complex)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -182,9 +150,8 @@ def read_measurements(path, n):
 
 def cmd_solve(args):
     e, b = read_measurements(args.input, args.n)
-    p = build_affine_projector(e, b)
     cfg = SolverConfig(method="dr", max_iters=args.iters, record_every=args.iters)
-    trace = solve_dr(p, e, cfg)
+    trace = solve(e, b, cfg)
     x, gap = round_to_vector(trace)
     for v in x:
         if e.field == COMPLEX:

@@ -1,4 +1,5 @@
-"""Experiment harness: phase-transition grids, convergence traces, heatmaps.
+"""Experiment harness: phase-transition grids, convergence traces, heatmaps,
+and dual-certificate studies.
 
 Every trial is a pure function of its seed: the signal, the ensemble, and
 the noise draw all come from sub-streams of the per-trial seed, and the
@@ -12,22 +13,13 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .projections import build_affine_projector
+from .certificate import CertificateParams, build_certificate, check_certificate
 from .sensing import REAL, add_noise, derive_seed, measure, sample_ensemble
-from .solvers import (
-    DR,
-    NESTEROV,
-    POCS,
-    SolverConfig,
-    solve_dr,
-    solve_nesterov,
-    solve_pocs,
-    write_trace_csv,
-)
+from .solvers import DR, NESTEROV, SolverConfig, solve, write_trace_csv
 
 
 @dataclass
@@ -82,15 +74,7 @@ def run_trial(n, m, eps, solver, seed, trial=0):
     b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(seed, 2))
     X0 = np.outer(x0, x0)
     try:
-        if solver.method == NESTEROV:
-            trace = solve_nesterov(e, b, solver, X0_true=X0)
-        elif solver.method == POCS:
-            p = build_affine_projector(e, b)
-            trace = solve_pocs(p, e, solver, X0_true=X0)
-        else:
-            p = build_affine_projector(e, b)
-            trace = solve_dr(p, e, solver, X0_true=X0)
-        last = trace.points[-1]
+        last = solve(e, b, solver, X0_true=X0).points[-1]
         iters, err, res = last.iteration, last.recovery_error, last.residual
     except RuntimeError:
         iters, err, res = solver.max_iters, math.nan, math.nan
@@ -206,15 +190,48 @@ def run_convergence_study(n, m, seeds, out_dir, iters=1000):
         X0 = np.outer(x0, x0)
         for eps in (0.0, 0.1):
             b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(seed, 2))
-            p = build_affine_projector(e, b)
             for name, base in CONVERGENCE_METHODS:
-                cfg = SolverConfig(method=base.method, max_iters=iters,
-                                   alpha=base.alpha, lambda_trace=base.lambda_trace)
-                if base.method == DR:
-                    trace = solve_dr(p, e, cfg, X0_true=X0)
-                else:
-                    trace = solve_nesterov(e, b, cfg, X0_true=X0)
+                trace = solve(e, b, replace(base, max_iters=iters), X0_true=X0)
                 path = os.path.join(target, f"{name}_{eps:g}.csv")
                 write_trace_csv(trace, path)
                 written.append(path)
     return written
+
+
+def run_certify_study(n, m, beta, seeds, seed, out_dir):
+    """Certificate checks for `seeds` ensembles -> certificates.csv + summary.txt."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    for k in range(seeds):
+        seed_k = derive_seed(seed, k)
+        anchor = sample_unit_sphere(n, derive_seed(seed_k, 0))
+        e = sample_ensemble(n, m, REAL, derive_seed(seed_k, 1))
+        Y, lam = build_certificate(e, CertificateParams(anchor=anchor, beta=beta))
+        rows.append((k, seed_k, check_certificate(Y, lam, anchor)))
+    with open(os.path.join(out_dir, "certificates.csv"), "w") as fh:
+        fh.write("trial,seed,y_t_nuclear,t_perp_min_eig,t_perp_dev,lambda_l1,"
+                 "truncation_rate,pass_y_t,pass_t_perp,pass_lambda\n")
+        for k, seed_k, r in rows:
+            fh.write(f"{k},{seed_k},{r.y_t_nuclear!r},{r.t_perp_min_eig!r},"
+                     f"{r.t_perp_dev!r},{r.lambda_l1!r},{r.truncation_rate!r},"
+                     f"{int(r.pass_y_t)},{int(r.pass_t_perp)},{int(r.pass_lambda)}\n")
+    reports = [r for _, _, r in rows]
+    count = len(reports)
+    summary = [
+        f"n={n}",
+        f"m={m}",
+        f"beta={beta!r}",
+        f"seeds={count}",
+        f"mean_y_t_nuclear={sum(r.y_t_nuclear for r in reports) / count!r}",
+        f"mean_t_perp_min_eig={sum(r.t_perp_min_eig for r in reports) / count!r}",
+        f"mean_lambda_l1={sum(r.lambda_l1 for r in reports) / count!r}",
+        f"mean_truncation_rate={sum(r.truncation_rate for r in reports) / count!r}",
+        f"frac_pass_y_t={sum(r.pass_y_t for r in reports) / count!r}",
+        f"frac_pass_t_perp={sum(r.pass_t_perp for r in reports) / count!r}",
+        f"frac_pass_lambda={sum(r.pass_lambda for r in reports) / count!r}",
+        f"frac_pass_all={sum(r.all_pass for r in reports) / count!r}",
+    ]
+    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+        fh.write("\n".join(summary) + "\n")

@@ -81,6 +81,8 @@ def eig(X):
     values, vectors = np.linalg.eigh(X)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()
+    if vectors.size == 0:
+        return EigenDecomposition(values, vectors)
     # eigh columns are unit-norm, so no pivot is zero.  The modulus comes
     # from np.hypot, which rounds as scalar abs() does; np.abs of a complex
     # array can differ in the last bit, and the tests pin phases bitwise.

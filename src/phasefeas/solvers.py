@@ -1,6 +1,7 @@
 """Iterative schemes for the lifted feasibility and soft-penalty problems.
 
-Three solvers share the same trace format:
+Three solvers share one driver loop and the same trace format; ``solve``
+picks one by ``cfg.method``:
 
 * ``solve_dr``       Douglas-Rachford splitting on the two projectors,
 * ``solve_pocs``     plain alternating projections (backward-backward),
@@ -20,7 +21,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .linalg import dtype_for, hermitize, require_square
-from .projections import leading_eigenvector, project_affine, project_psd, recovery_error
+from .projections import (
+    build_affine_projector,
+    leading_eigenvector,
+    project_affine,
+    project_psd,
+    recovery_error,
+)
 from .sensing import apply_adjoint, apply_lifted
 
 DR = "dr"
@@ -81,34 +88,6 @@ def _residual(e, b_values, X, b_norm):
     return float(gap / b_norm) if b_norm > 0 else float(gap)
 
 
-class _Recorder:
-    def __init__(self, e, b, X0_true, record_every, max_iters):
-        self.e = e
-        self.b_values = b.values
-        self.b_norm = float(np.linalg.norm(b.values))
-        self.X0_true = X0_true
-        self.every = record_every
-        self.last = max_iters
-        self.trace = SolverTrace()
-
-    def record(self, k, X, forced=False):
-        if self.trace.points and self.trace.points[-1].iteration == k:
-            return
-        if not (forced or k % self.every == 0 or k == self.last):
-            return
-        err = recovery_error(X, self.X0_true) if self.X0_true is not None else math.nan
-        res = _residual(self.e, self.b_values, X, self.b_norm)
-        tr = float(np.real(np.trace(X)))
-        if not (math.isfinite(res) and math.isfinite(tr)):
-            raise RuntimeError(f"non-finite iterate at iteration {k}")
-        self.trace.points.append(TracePoint(k, err, res, tr))
-
-    def finish(self, X, stop_tol, epsilon):
-        self.trace.final_X = X
-        self.trace.converged = self.trace.final_residual <= max(stop_tol, 10 * epsilon)
-        return self.trace
-
-
 def _init_state(n, dtype, X_start):
     if X_start is None:
         return np.zeros((n, n), dtype=dtype)
@@ -122,52 +101,68 @@ def _rel_change(X_new, X_old):
     return np.linalg.norm(X_new - X_old) / max(1.0, np.linalg.norm(X_new))
 
 
+def _check_method(cfg, method):
+    if cfg.method != method:
+        raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
+
+
+def _iterate(e, b, cfg, X0_true, X, step):
+    """The driver loop shared by every solver: X_k = step(X_{k-1}).
+
+    Records iteration 0, every `record_every`-th iteration, the last
+    iteration and the early-stop iteration, each once.  An exception raised
+    by a step is re-raised as RuntimeError("iteration k: ...").
+    """
+    b_norm = float(np.linalg.norm(b.values))
+    trace = SolverTrace()
+
+    def record(k, X):
+        err = recovery_error(X, X0_true) if X0_true is not None else math.nan
+        res = _residual(e, b.values, X, b_norm)
+        tr = float(np.real(np.trace(X)))
+        if not (math.isfinite(res) and math.isfinite(tr)):
+            raise RuntimeError(f"non-finite iterate at iteration {k}")
+        trace.points.append(TracePoint(k, err, res, tr))
+
+    record(0, X)
+    for k in range(1, cfg.max_iters + 1):
+        try:
+            X_new = step(X)
+        except Exception as err:
+            raise RuntimeError(f"iteration {k}: {err}") from err
+        stop = cfg.stop_tol > 0 and _rel_change(X_new, X) <= cfg.stop_tol
+        X = X_new
+        if stop or k % cfg.record_every == 0 or k == cfg.max_iters:
+            record(k, X)
+        if stop:
+            break
+    trace.final_X = X
+    trace.converged = trace.final_residual <= max(cfg.stop_tol, 10 * b.epsilon)
+    return trace
+
+
 def solve_dr(p, e, cfg, X0_true=None, X_start=None):
     """Douglas-Rachford iteration on the affine slice and the PSD cone.
 
     Y_k = P_aff(2 X_{k-1} - Y_{k-1}) - X_{k-1} + Y_{k-1};  X_k = P_psd(Y_k).
     """
-    if cfg.method != DR:
-        raise ValueError(f"config method is {cfg.method!r}, expected {DR!r}")
-    dtype = dtype_for(e.field)
-    Y = _init_state(e.n, dtype, X_start)
+    _check_method(cfg, DR)
+    Y = _init_state(e.n, dtype_for(e.field), X_start)
     X = project_psd(Y) if X_start is not None else Y.copy()
-    rec = _Recorder(e, p.b, X0_true, cfg.record_every, cfg.max_iters)
-    rec.record(0, X, forced=True)
-    for k in range(1, cfg.max_iters + 1):
-        try:
-            Y = project_affine(p, e, 2 * X - Y) - X + Y
-            X_new = project_psd(Y)
-        except Exception as err:
-            raise RuntimeError(f"iteration {k}: {err}") from err
-        rec.record(k, X_new)
-        stop = cfg.stop_tol > 0 and _rel_change(X_new, X) <= cfg.stop_tol
-        X = X_new
-        if stop:
-            rec.record(k, X, forced=True)
-            break
-    return rec.finish(X, cfg.stop_tol, p.b.epsilon)
+
+    def step(X):
+        nonlocal Y
+        Y = project_affine(p, e, 2 * X - Y) - X + Y
+        return project_psd(Y)
+
+    return _iterate(e, p.b, cfg, X0_true, X, step)
 
 
 def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
     """Alternating projections X_{k} = P_psd(P_aff(X_{k-1}))."""
-    if cfg.method != POCS:
-        raise ValueError(f"config method is {cfg.method!r}, expected {POCS!r}")
+    _check_method(cfg, POCS)
     X = _init_state(e.n, dtype_for(e.field), X_start)
-    rec = _Recorder(e, p.b, X0_true, cfg.record_every, cfg.max_iters)
-    rec.record(0, X, forced=True)
-    for k in range(1, cfg.max_iters + 1):
-        try:
-            X_new = project_psd(project_affine(p, e, X))
-        except Exception as err:
-            raise RuntimeError(f"iteration {k}: {err}") from err
-        rec.record(k, X_new)
-        stop = cfg.stop_tol > 0 and _rel_change(X_new, X) <= cfg.stop_tol
-        X = X_new
-        if stop:
-            rec.record(k, X, forced=True)
-            break
-    return rec.finish(X, cfg.stop_tol, p.b.epsilon)
+    return _iterate(e, p.b, cfg, X0_true, X, lambda X: project_psd(project_affine(p, e, X)))
 
 
 def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
@@ -181,38 +176,51 @@ def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
     with grad g(X) = L*(L(X) - b) + lambda I.  Aborts when the feasibility
     residual exceeds 1e6 (step size too large).
     """
-    if cfg.method != NESTEROV:
-        raise ValueError(f"config method is {cfg.method!r}, expected {NESTEROV!r}")
+    _check_method(cfg, NESTEROV)
     dtype = dtype_for(e.field)
     X = _init_state(e.n, dtype, X_start)
     Y = X.copy()
     eye = np.eye(e.n, dtype=dtype)
     theta = 1.0
-    rec = _Recorder(e, b, X0_true, cfg.record_every, cfg.max_iters)
-    rec.record(0, X, forced=True)
-    for k in range(1, cfg.max_iters + 1):
+    b_norm = float(np.linalg.norm(b.values))
+
+    def step(X):
+        nonlocal Y, theta
         grad = apply_adjoint(e, apply_lifted(e, Y) - b.values) + cfg.lambda_trace * eye
         X_new = project_psd(Y - cfg.alpha * grad)
-        res = _residual(e, b.values, X_new, rec.b_norm)
+        res = _residual(e, b.values, X_new, b_norm)
         if not math.isfinite(res) or res > DIVERGENCE_LIMIT:
-            raise RuntimeError(f"step size too large: residual {res:.3e} at iteration {k}")
-        theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / theta**2))
+            raise RuntimeError(f"step size too large: residual {res:.3e}")
+        theta_new = _next_theta(theta)
         beta = theta_new * (1.0 / theta - 1.0)
         Y = X_new + beta * (X_new - X)
-        rec.record(k, X_new)
-        stop = cfg.stop_tol > 0 and _rel_change(X_new, X) <= cfg.stop_tol
-        X, theta = X_new, theta_new
-        if stop:
-            rec.record(k, X, forced=True)
-            break
-    return rec.finish(X, cfg.stop_tol, b.epsilon)
+        theta = theta_new
+        return X_new
+
+    return _iterate(e, b, cfg, X0_true, X, step)
+
+
+def solve(e, b, cfg, X0_true=None, X_start=None):
+    """Run the solver that `cfg.method` names on the measurements `b` of `e`.
+
+    DR and POCS build the affine projector first; Nesterov needs none.
+    """
+    if cfg.method == NESTEROV:
+        return solve_nesterov(e, b, cfg, X0_true=X0_true, X_start=X_start)
+    p = build_affine_projector(e, b)
+    method = solve_dr if cfg.method == DR else solve_pocs
+    return method(p, e, cfg, X0_true=X0_true, X_start=X_start)
+
+
+def _next_theta(theta):
+    return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / theta**2))
 
 
 def theta_sequence(count, theta0=1.0):
     """First `count` values of the acceleration parameter recurrence."""
     out, theta = [], theta0
     for _ in range(count):
-        theta = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / theta**2))
+        theta = _next_theta(theta)
         out.append(theta)
     return out
 

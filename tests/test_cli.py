@@ -84,6 +84,13 @@ class TestCertifyCommand:
         assert "frac_pass_all=" in summary
         assert "mean_lambda_l1=" in summary
 
+    def test_zero_seeds_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "y"
+        assert main(["certify", "--n", "6", "--m", "120", "--seeds", "0",
+                     "--out", str(out)]) == 2
+        assert "seeds must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_real_recovery(self, tmp_path, capsys):
@@ -155,6 +162,13 @@ class TestSolveCommand:
         write_measurements(path, e, b)
         assert main(["solve", "--input", str(path), "--n", "3", "--seed", "0"]) == 2
         assert "no positive measurement" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_exit_2(self, tmp_path, capsys, n):
+        path = tmp_path / "b.csv"
+        path.write_text("b\n1.0\n")
+        assert main(["solve", "--input", str(path), "--n", str(n), "--seed", "0"]) == 2
+        assert "n must be >= 1" in capsys.readouterr().err
 
     def test_non_numeric_exit_2(self, tmp_path):
         path = tmp_path / "nn.csv"

@@ -43,8 +43,10 @@ class TestRunTrial:
         row = run_trial(2, 10, 0.1, fast_cfg(1000), seed=1)
         assert 1e-3 <= row.recovery_error <= 1.0
 
-    def test_solver_failure_recorded_as_nan(self):
-        cfg = SolverConfig(method="nesterov", max_iters=100, alpha=10.0)
+    # alpha=1e307 overflows to a non-finite iterate inside the PSD projection
+    @pytest.mark.parametrize("alpha", [10.0, 1e307])
+    def test_solver_failure_recorded_as_nan(self, alpha):
+        cfg = SolverConfig(method="nesterov", max_iters=100, alpha=alpha)
         row = run_trial(6, 30, 0.0, cfg, seed=2)
         assert math.isnan(row.recovery_error)
         assert math.isnan(row.residual)

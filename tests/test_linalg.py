@@ -77,7 +77,7 @@ class TestEig:
             assert abs(pivot.imag) < 1e-14 and pivot.real > 0
 
     @pytest.mark.parametrize("field", FIELDS)
-    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
     def test_matches_loop_reference_bitwise(self, field, n):
         rng = np.random.default_rng(43 + n)
         for _ in range(10):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from phasefeas.sensing import add_noise, derive_seed, measure, sample_ensemble
 from phasefeas.solvers import (
     SolverConfig,
     round_to_vector,
+    solve,
     solve_dr,
     solve_nesterov,
     solve_pocs,
@@ -299,10 +301,41 @@ class TestTraceExport:
         # shortest round-trip floats parse back exactly
         assert float(first[2]) == t.points[0].residual
 
-    def test_iterations_strictly_increasing(self):
+    @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
+    def test_iterations_strictly_increasing(self, method):
         e, b, X0 = setup_instance(3, 9, 9)
-        p = build_affine_projector(e, b)
-        t = solve_dr(p, e, SolverConfig(max_iters=10, record_every=3), X0_true=X0)
+        t = solve(e, b, SolverConfig(method=method, max_iters=10, record_every=3), X0_true=X0)
         its = [pt.iteration for pt in t.points]
         assert its == sorted(set(its))
         assert its[-1] == 10
+
+    @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
+    def test_early_stop_on_record_iteration_recorded_once(self, method):
+        # the stop iteration k is a multiple of record_every, so the schedule
+        # and the early stop both ask for it; it is recorded once, last
+        e, b, X0 = setup_instance(4, 8, 3)
+        cfg = SolverConfig(method=method, max_iters=3000, stop_tol=1e-4, alpha=1e-3,
+                           record_every=3000)
+        first = solve(e, b, cfg, X0_true=X0)
+        k = first.points[-1].iteration
+        assert 1 < k < cfg.max_iters
+        every = min(d for d in range(2, k + 1) if k % d == 0)
+        t = solve(e, b, replace(cfg, record_every=every), X0_true=X0)
+        assert [pt.iteration for pt in t.points] == list(range(0, k + 1, every))
+        assert t.points[-1] == first.points[-1]
+        assert np.array_equal(t.final_X, first.final_X)
+
+
+class TestSolveDispatch:
+    @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
+    def test_matches_direct_call(self, method):
+        e, b, X0 = setup_instance(4, 10, 11, eps=0.05)
+        cfg = SolverConfig(method=method, max_iters=30, record_every=4, alpha=1e-3)
+        if method == "nesterov":
+            direct = solve_nesterov(e, b, cfg, X0_true=X0)
+        else:
+            p = build_affine_projector(e, b)
+            direct = (solve_dr if method == "dr" else solve_pocs)(p, e, cfg, X0_true=X0)
+        t = solve(e, b, cfg, X0_true=X0)
+        assert t.points == direct.points
+        assert np.array_equal(t.final_X, direct.final_X)
