@@ -56,12 +56,10 @@ from .sensing import (
     apply_adjoint,
     apply_lifted,
     derive_seed,
-    load_ensemble,
     measure,
     s_apply,
     s_inverse,
     sample_ensemble,
-    save_ensemble,
 )
 from .solvers import (
     SolverConfig,

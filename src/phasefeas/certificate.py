@@ -56,19 +56,6 @@ class CertificateReport:
     def all_pass(self):
         return self.pass_y_t and self.pass_t_perp and self.pass_lambda
 
-    def to_lines(self):
-        """key=value emission, one line per report field."""
-        return [
-            f"y_t_nuclear={self.y_t_nuclear!r}",
-            f"t_perp_min_eig={self.t_perp_min_eig!r}",
-            f"t_perp_dev={self.t_perp_dev!r}",
-            f"lambda_l1={self.lambda_l1!r}",
-            f"truncation_rate={self.truncation_rate!r}",
-            f"pass_y_t={self.pass_y_t}",
-            f"pass_t_perp={self.pass_t_perp}",
-            f"pass_lambda={self.pass_lambda}",
-        ]
-
 
 def certificate_weights(e, anchor):
     """Per-sample weights, before truncation."""

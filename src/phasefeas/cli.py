@@ -70,7 +70,8 @@ def build_parser():
     s = sub.add_parser("solve", help="recover a vector from a measurements CSV")
     s.add_argument("--input", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0,
+                   help="does not change the result: DR starts from X = 0 and draws nothing")
     s.add_argument("--iters", type=int, default=1000)
     return parser
 

@@ -65,15 +65,15 @@ def check_anchor(x):
 
 class EigenDecomposition(NamedTuple):
     values: np.ndarray   # real, sorted descending
-    vectors: np.ndarray  # orthonormal columns, phase-fixed
+    vectors: np.ndarray  # orthonormal columns, each defined up to a phase
 
 
 def eig(X):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Deterministic for a fixed input.  Phase convention: each eigenvector is
-    rotated so its largest-magnitude component (first index on magnitude
-    ties) is real and positive, which makes outputs comparable across runs.
+    Deterministic for a fixed input.  Columns come as `np.linalg.eigh`
+    returns them, with no phase convention; callers that expose a vector
+    fix its phase themselves (see `projections.leading_eigenvector`).
     """
     X = require_square(X)
     if not np.all(np.isfinite(X)):
@@ -81,13 +81,6 @@ def eig(X):
     values, vectors = np.linalg.eigh(X)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()
-    if vectors.size == 0:
-        return EigenDecomposition(values, vectors)
-    # eigh columns are unit-norm, so no pivot is zero.  The modulus comes
-    # from np.hypot, which rounds as scalar abs() does; np.abs of a complex
-    # array can differ in the last bit, and the tests pin phases bitwise.
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    vectors *= np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
     return EigenDecomposition(values, vectors)
 
 

@@ -127,19 +127,3 @@ def add_noise(b, eps, x0_norm, seed=0):
     nu *= eps * x0_norm**2 / np.linalg.norm(nu)
     return MeasurementVector(values=b.values + nu, epsilon=float(eps))
 
-
-def save_ensemble(e, path):
-    """Write the regeneration header `n m field seed`; vectors are not stored."""
-    if e.seed is None:
-        raise ValueError("ensemble has no seed; externally supplied vectors cannot be serialized")
-    with open(path, "w") as fh:
-        fh.write(f"{e.n} {e.m} {e.field} {e.seed}\n")
-
-
-def load_ensemble(path):
-    with open(path) as fh:
-        parts = fh.readline().split()
-    if len(parts) != 4:
-        raise ValueError(f"bad ensemble header in {path}: expected `n m field seed`")
-    n, m, field, seed = int(parts[0]), int(parts[1]), parts[2], int(parts[3])
-    return sample_ensemble(n, m, field, seed)

@@ -200,16 +200,16 @@ def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
     return _iterate(e, b, cfg, X0_true, X, step)
 
 
-def solve(e, b, cfg, X0_true=None, X_start=None):
+def solve(e, b, cfg, X0_true=None):
     """Run the solver that `cfg.method` names on the measurements `b` of `e`.
 
     DR and POCS build the affine projector first; Nesterov needs none.
     """
     if cfg.method == NESTEROV:
-        return solve_nesterov(e, b, cfg, X0_true=X0_true, X_start=X_start)
+        return solve_nesterov(e, b, cfg, X0_true=X0_true)
     p = build_affine_projector(e, b)
     method = solve_dr if cfg.method == DR else solve_pocs
-    return method(p, e, cfg, X0_true=X0_true, X_start=X_start)
+    return method(p, e, cfg, X0_true=X0_true)
 
 
 def _next_theta(theta):
@@ -237,7 +237,7 @@ def round_to_vector(trace):
     lam1, v1 = leading_eigenvector(X)
     if lam1 <= 0:
         raise RuntimeError("no positive component")
-    vals = np.sort(np.linalg.eigvalsh(X))[::-1]
+    vals = np.linalg.eigvalsh(X)[::-1]
     gap = float(vals[0] - vals[1]) if vals.size > 1 else float(vals[0])
     return np.sqrt(lam1) * v1, gap
 

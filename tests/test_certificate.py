@@ -128,12 +128,6 @@ class TestCheckCertificate:
         assert r.truncation_rate == pytest.approx(0.5)
         assert r.lambda_l1 == pytest.approx(0.75)
 
-    def test_report_lines(self):
-        r = check_certificate(np.zeros((3, 3)), np.zeros(4), e1(3))
-        lines = r.to_lines()
-        assert lines[0].startswith("y_t_nuclear=")
-        assert "pass_t_perp=False" in lines
-
     def test_thresholds_hold_at_feasible_parameters(self):
         # lemma conclusions verify empirically once the truncation level and
         # sample count are adequate (beta=2 removes the tangent-part bias)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _utils import FIELDS, rand_hermitian, rand_unit
+from _utils import FIELDS, eig_loop_reference, rand_hermitian, rand_unit
 from phasefeas.linalg import (
     COMPLEX,
     REAL,
@@ -12,25 +12,13 @@ from phasefeas.linalg import (
     project_Tperp,
     schatten_norm,
 )
+from phasefeas.projections import leading_eigenvector
 
 
 def e(i, n):
     v = np.zeros(n)
     v[i] = 1.0
     return v
-
-
-def eig_loop_reference(X):
-    """The per-column phase fix that eig vectorizes, kept as its oracle."""
-    values, vectors = np.linalg.eigh(X)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    for j in range(vectors.shape[1]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        pivot = vectors[k, j]
-        if pivot != 0:
-            vectors[:, j] *= np.conj(pivot) / abs(pivot)
-    return values, vectors
 
 
 class TestEig:
@@ -70,22 +58,29 @@ class TestEig:
     def test_phase_convention(self):
         rng = np.random.default_rng(13)
         X = rand_hermitian(rng, 5, COMPLEX)
-        d = eig(X)
-        for j in range(5):
-            k = int(np.argmax(np.abs(d.vectors[:, j])))
-            pivot = d.vectors[k, j]
-            assert abs(pivot.imag) < 1e-14 and pivot.real > 0
+        _, v = leading_eigenvector(X)
+        k = int(np.argmax(np.abs(v)))
+        assert abs(v[k].imag) < 1e-14 and v[k].real > 0
+        assert np.array_equal(v, eig_loop_reference(X)[1][:, 0])
 
     @pytest.mark.parametrize("field", FIELDS)
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
     def test_matches_loop_reference_bitwise(self, field, n):
+        # eig is eigh reversed with no phase step; leading_eigenvector fixes
+        # the phase of the one column it returns, exactly as the oracle does
         rng = np.random.default_rng(43 + n)
         for _ in range(10):
             X = rand_hermitian(rng, n, field)
             values, vectors = eig_loop_reference(X)
             d = eig(X)
             assert np.array_equal(d.values, values)
-            assert np.array_equal(d.vectors, vectors)
+            assert np.array_equal(d.vectors, np.linalg.eigh(X)[1][:, ::-1])
+            if n == 0:
+                assert d.vectors.shape == (0, 0)
+                continue
+            value, v = leading_eigenvector(X)
+            assert value == values[0]
+            assert np.array_equal(v, vectors[:, 0])
 
     @pytest.mark.parametrize("X", [np.array([[0.0, 1.0], [1.0, 0.0]]),
                                    np.array([[0.0, 1j], [-1j, 0.0]])])
@@ -93,10 +88,11 @@ class TestEig:
         raw = np.abs(np.linalg.eigh(X)[1])
         assert np.all(raw[0] == raw[1])  # every column is an exact tie
         values, vectors = eig_loop_reference(X)
-        d = eig(X)
-        assert np.array_equal(d.values, values)
-        assert np.array_equal(d.vectors, vectors)
-        assert np.all(d.vectors[0].imag == 0.0) and np.all(d.vectors[0].real > 0)
+        assert np.array_equal(eig(X).values, values)
+        value, v = leading_eigenvector(X)
+        assert value == values[0]
+        assert np.array_equal(v, vectors[:, 0])
+        assert v[0].imag == 0.0 and v[0].real > 0
 
     def test_nonfinite_rejected(self):
         X = np.eye(3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _utils import FIELDS, rand_hermitian, rand_unit
+from _utils import FIELDS, eig_loop_reference, rand_hermitian, rand_unit
 from phasefeas.linalg import COMPLEX, REAL, hermitize, hs_inner, schatten_norm
 from phasefeas.projections import (
     build_affine_projector,
@@ -23,6 +23,14 @@ from phasefeas.sensing import (
 def ensemble_from_rows(rows, field=REAL):
     Z = np.asarray(rows, dtype=complex if field == COMPLEX else float)
     return SensingEnsemble(n=Z.shape[1], m=Z.shape[0], field=field, vectors=Z, seed=None)
+
+
+def psd_phase_fixed_reference(X):
+    """project_psd's rank-r rebuild from phase-fixed eigenvectors, as an oracle."""
+    values, vectors = eig_loop_reference(X)
+    r = int(np.count_nonzero(values > 0))
+    V = vectors[:, :r]
+    return hermitize((V * values[:r]) @ V.conj().T)
 
 
 def solve_2x2_affine(e, b):
@@ -155,6 +163,18 @@ class TestProjectPsd:
             out = project_psd(X)
             lam_min = np.linalg.eigvalsh(out).min()
             assert lam_min >= -1e-10 * schatten_norm(X, np.inf)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_matches_phase_fixed_rebuild(self, n):
+        # V diag(w) V* does not depend on column phases: in the real field the
+        # phase is +-1 and the bits agree, in the complex field to rounding
+        rng = np.random.default_rng(47 + n)
+        for _ in range(10):
+            X = rand_hermitian(rng, n, REAL)
+            assert np.array_equal(project_psd(X), psd_phase_fixed_reference(X))
+            X = rand_hermitian(rng, n, COMPLEX)
+            ref = psd_phase_fixed_reference(X)
+            assert np.linalg.norm(project_psd(X) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_obtuseness(self):
         # variational characterization of the metric projection:

@@ -9,12 +9,10 @@ from phasefeas.sensing import (
     apply_adjoint,
     apply_lifted,
     derive_seed,
-    load_ensemble,
     measure,
     s_apply,
     s_inverse,
     sample_ensemble,
-    save_ensemble,
 )
 
 
@@ -239,11 +237,3 @@ def test_derive_seed_stable_and_disjoint():
     assert s1 != derive_seed(42, 1, 2, 4)
     assert s1 != derive_seed(43, 1, 2, 3)
 
-
-def test_serialization_roundtrip(tmp_path):
-    e = sample_ensemble(4, 9, COMPLEX, seed=77)
-    path = tmp_path / "ensemble.txt"
-    save_ensemble(e, path)
-    back = load_ensemble(path)
-    assert back.n == 4 and back.m == 9 and back.field == COMPLEX
-    assert np.array_equal(back.vectors, e.vectors)

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from _utils import rand_hermitian
+from phasefeas import projections, solvers
+from phasefeas.harness import run_trial
 from phasefeas.linalg import hermitize
 from phasefeas.projections import (
     build_affine_projector,
+    leading_eigenvector,
     project_affine,
     project_psd,
     vector_error_up_to_phase,
@@ -231,6 +234,16 @@ class TestNesterov:
         with pytest.raises(RuntimeError, match="step size too large"):
             solve_nesterov(e, b, cfg)
 
+    def test_divergence_guard_between_records(self):
+        # The iterate passes the limit mid-run, and the PSD clamp brings it
+        # back to X = 0 by the only recorded iteration, where the error would
+        # read 1.0; the guard must check every step, not only recorded ones.
+        # Row (4, 12, 0) of `grid --solver nesterov --alpha 0.05 --n 2:10:2
+        # --m 6:40:6 --trials 2 --iters 300 --seed 3`.
+        cfg = SolverConfig(method="nesterov", max_iters=300, alpha=0.05, record_every=300)
+        row = run_trial(4, 12, 0.1, cfg, seed=7135772516339100961)
+        assert math.isnan(row.recovery_error) and math.isnan(row.residual)
+
 
 class TestIteratesStayPsd:
     @pytest.mark.parametrize("iters", [1, 3, 10])
@@ -339,3 +352,50 @@ class TestSolveDispatch:
         t = solve(e, b, cfg, X0_true=X0)
         assert t.points == direct.points
         assert np.array_equal(t.final_X, direct.final_X)
+
+
+class TestCallStructure:
+    """The call counts that the traced benchmark run checks as identities."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"eig": 0, "eigh": 0, "project_psd": []}
+        eig, eigh, project_psd = projections.eig, np.linalg.eigh, solvers.project_psd
+
+        def counted_eig(X):
+            counts["eig"] += 1
+            return eig(X)
+
+        def counted_eigh(X, *args, **kwargs):
+            counts["eigh"] += 1
+            return eigh(X, *args, **kwargs)
+
+        def counted_project_psd(X):
+            before = counts["eig"], counts["eigh"]
+            out = project_psd(X)
+            counts["project_psd"].append((counts["eig"] - before[0], counts["eigh"] - before[1]))
+            return out
+
+        monkeypatch.setattr(projections, "eig", counted_eig)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(solvers, "project_psd", counted_project_psd)
+        return counts
+
+    def test_affine_projector_is_one_eigh(self, counts):
+        e, b, _ = setup_instance(5, 12, 8)
+        build_affine_projector(e, b)
+        assert (counts["eig"], counts["eigh"]) == (0, 1)
+
+    @pytest.mark.parametrize("iters", [1, 7])
+    def test_dr_step_is_one_psd_projection(self, counts, iters):
+        e, b, _ = setup_instance(5, 12, 8)
+        p = build_affine_projector(e, b)
+        counts["eigh"] = 0
+        solve_dr(p, e, SolverConfig(max_iters=iters, record_every=iters))
+        assert counts["project_psd"] == [(1, 1)] * iters
+        assert (counts["eig"], counts["eigh"]) == (iters, iters)
+
+    def test_leading_eigenvector_is_one_eig(self, counts):
+        rng = np.random.default_rng(9)
+        leading_eigenvector(rand_hermitian(rng, 5))
+        assert (counts["eig"], counts["eigh"]) == (1, 1)
