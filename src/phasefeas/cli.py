@@ -37,7 +37,8 @@ def parse_range(text):
 def build_parser():
     parser = argparse.ArgumentParser(prog="phasefeas")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker count for grid trials (0 = all cores); results invariant to it")
+                        help="worker count for grid trials (0 = all usable cores); "
+                             "results invariant to it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grid", help="phase-transition grid -> grid.csv + heatmap.pgm")
@@ -77,6 +78,8 @@ def build_parser():
 
 
 def cmd_grid(args):
+    if args.threads < 0:
+        raise ValueError(f"--threads must be >= 0 (0 = all usable cores), got {args.threads}")
     cfg = SolverConfig(method=args.solver, max_iters=args.iters, alpha=args.alpha,
                        lambda_trace=args.lambda_trace, record_every=args.iters)
     spec = GridSpec(n_values=parse_range(args.n), m_values=parse_range(args.m),

@@ -7,8 +7,17 @@ per-trial seed is derived from (master_seed, n, m, trial).  Grid execution
 is therefore invariant to worker count and ordering, and rerunning any
 command with the same seed reproduces its CSV/PGM artifacts byte for byte
 (which is why the nondeterministic wall_ms column stays out of the files).
+
+Every trial, serial or in a pool worker, runs on one OpenBLAS thread.  Two
+reasons: forked workers that each start their own BLAS threads oversubscribe
+the cores, so the pool would not scale; and OpenBLAS rounds the larger
+kernels (the Gram `eigh` and `Z @ Z.T` above m of about 130) differently at
+one and at several threads, so a trial's bits would depend on where it ran.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
 import time
@@ -62,22 +71,57 @@ def sample_unit_sphere(n, seed):
     return x / np.linalg.norm(x)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None without it."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the count afterwards.
+
+    Does nothing when numpy's BLAS does not export the OpenBLAS calls.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def run_trial(n, m, eps, solver, seed, trial=0):
     """One fully seeded experiment: sample, measure, corrupt, solve.
 
     Sub-streams of `seed`: 0 = signal direction, 1 = ensemble, 2 = noise.
-    Solver failures are recorded as NaN rows rather than raised.
+    Solver failures are recorded as NaN rows rather than raised.  The trial
+    runs on one BLAS thread (see the module docstring).
     """
     start = time.perf_counter()
-    x0 = sample_unit_sphere(n, derive_seed(seed, 0))
-    e = sample_ensemble(n, m, REAL, derive_seed(seed, 1))
-    b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(seed, 2))
-    X0 = np.outer(x0, x0)
-    try:
-        last = solve(e, b, solver, X0_true=X0).points[-1]
-        iters, err, res = last.iteration, last.recovery_error, last.residual
-    except RuntimeError:
-        iters, err, res = solver.max_iters, math.nan, math.nan
+    with _single_blas_thread():
+        x0 = sample_unit_sphere(n, derive_seed(seed, 0))
+        e = sample_ensemble(n, m, REAL, derive_seed(seed, 1))
+        b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(seed, 2))
+        X0 = np.outer(x0, x0)
+        try:
+            last = solve(e, b, solver, X0_true=X0).points[-1]
+            iters, err, res = last.iteration, last.recovery_error, last.residual
+        except RuntimeError:
+            iters, err, res = solver.max_iters, math.nan, math.nan
     wall_ms = (time.perf_counter() - start) * 1e3
     return TrialRow(n=n, m=m, trial=trial, seed=seed, iters=iters,
                     recovery_error=err, residual=res, wall_ms=wall_ms)
@@ -88,16 +132,28 @@ def _grid_task(args):
     return run_trial(n, m, eps, solver, seed, trial=trial)
 
 
+def _usable_cores():
+    """Usable cores: the affinity mask where the OS has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_grid(spec, workers=None):
-    """All (n, m, trial) combinations; rows sorted, worker-count invariant."""
+    """All (n, m, trial) combinations; rows sorted, worker-count invariant.
+
+    `workers` defaults to the usable cores; the pool forks that many workers.
+    """
     tasks = [
         (n, m, t, derive_seed(spec.master_seed, n, m, t), spec.eps, spec.solver)
         for n in spec.n_values
         for m in spec.m_values
         for t in range(spec.trials)
     ]
-    if workers is None or workers < 1:
-        workers = os.cpu_count() or 1
+    if workers is None:
+        workers = _usable_cores()
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(tasks) == 1:
         rows = [_grid_task(t) for t in tasks]
     else:

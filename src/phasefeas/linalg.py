@@ -73,15 +73,14 @@ def eig(X):
 
     Deterministic for a fixed input.  Columns come as `np.linalg.eigh`
     returns them, with no phase convention; callers that expose a vector
-    fix its phase themselves (see `projections.leading_eigenvector`).
+    fix its phase themselves (see `projections.leading_eigenvector`).  Both
+    arrays are reversed views of `eigh`'s output, not copies.
     """
     X = require_square(X)
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite input")
     values, vectors = np.linalg.eigh(X)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    return EigenDecomposition(values, vectors)
+    return EigenDecomposition(values[::-1], vectors[:, ::-1])
 
 
 def schatten_norm(X, p):

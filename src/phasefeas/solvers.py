@@ -107,8 +107,10 @@ def _check_method(cfg, method):
 
 
 def _iterate(e, b, cfg, X0_true, X, step):
-    """The driver loop shared by every solver: X_k = step(X_{k-1}).
+    """The iteration loop shared by every solver: X_k, res_k = step(X_{k-1}).
 
+    A step returns the new iterate and its feasibility residual, or None in
+    place of a residual it did not compute; `record` computes that one.
     Records iteration 0, every `record_every`-th iteration, the last
     iteration and the early-stop iteration, each once.  An exception raised
     by a step is re-raised as RuntimeError("iteration k: ...").
@@ -116,9 +118,10 @@ def _iterate(e, b, cfg, X0_true, X, step):
     b_norm = float(np.linalg.norm(b.values))
     trace = SolverTrace()
 
-    def record(k, X):
+    def record(k, X, res=None):
         err = recovery_error(X, X0_true) if X0_true is not None else math.nan
-        res = _residual(e, b.values, X, b_norm)
+        if res is None:
+            res = _residual(e, b.values, X, b_norm)
         tr = float(np.real(np.trace(X)))
         if not (math.isfinite(res) and math.isfinite(tr)):
             raise RuntimeError(f"non-finite iterate at iteration {k}")
@@ -127,13 +130,13 @@ def _iterate(e, b, cfg, X0_true, X, step):
     record(0, X)
     for k in range(1, cfg.max_iters + 1):
         try:
-            X_new = step(X)
+            X_new, res = step(X)
         except Exception as err:
             raise RuntimeError(f"iteration {k}: {err}") from err
         stop = cfg.stop_tol > 0 and _rel_change(X_new, X) <= cfg.stop_tol
         X = X_new
         if stop or k % cfg.record_every == 0 or k == cfg.max_iters:
-            record(k, X)
+            record(k, X, res)
         if stop:
             break
     trace.final_X = X
@@ -153,7 +156,7 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
     def step(X):
         nonlocal Y
         Y = project_affine(p, e, 2 * X - Y) - X + Y
-        return project_psd(Y)
+        return project_psd(Y), None
 
     return _iterate(e, p.b, cfg, X0_true, X, step)
 
@@ -162,7 +165,8 @@ def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
     """Alternating projections X_{k} = P_psd(P_aff(X_{k-1}))."""
     _check_method(cfg, POCS)
     X = _init_state(e.n, dtype_for(e.field), X_start)
-    return _iterate(e, p.b, cfg, X0_true, X, lambda X: project_psd(project_affine(p, e, X)))
+    return _iterate(e, p.b, cfg, X0_true, X,
+                    lambda X: (project_psd(project_affine(p, e, X)), None))
 
 
 def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
@@ -174,7 +178,8 @@ def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
     Y_k     = X_k + beta_k (X_k - X_{k-1}),
 
     with grad g(X) = L*(L(X) - b) + lambda I.  Aborts when the feasibility
-    residual exceeds 1e6 (step size too large).
+    residual exceeds 1e6 (step size too large).  The guard checks every step,
+    not only recorded ones, and hands its residual on to the trace.
     """
     _check_method(cfg, NESTEROV)
     dtype = dtype_for(e.field)
@@ -195,7 +200,7 @@ def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
         beta = theta_new * (1.0 / theta - 1.0)
         Y = X_new + beta * (X_new - X)
         theta = theta_new
-        return X_new
+        return X_new, res
 
     return _iterate(e, b, cfg, X0_true, X, step)
 

@@ -50,6 +50,14 @@ class TestGridCommand:
         for name in ("grid.csv", "heatmap.pgm"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["-1", "-3"])
+    def test_negative_threads_exit_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "g"
+        assert main(["--threads", threads, "grid", "--n", "2", "--m", "6",
+                     "--trials", "1", "--iters", "5", "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heatmap_is_valid_pgm(self, tmp_path):
         out = tmp_path / "g"
         assert main(["--threads", "1", "grid", "--n", "2", "--m", "6:9:3",

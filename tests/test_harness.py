@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phasefeas import harness
 from phasefeas.harness import (
     GridResult,
     GridSpec,
@@ -74,6 +75,22 @@ class TestRunGrid:
         parallel = run_grid(spec, workers=2)
         assert [no_wall(r) for r in serial.rows] == [no_wall(r) for r in parallel.rows]
 
+    def test_parallel_equals_serial_large_m(self):
+        # Above m of about 130 OpenBLAS rounds the Gram eigh and Z @ Z.T
+        # differently at 1 and 2 threads; the rows agree only when serial and
+        # pooled trials alike run on one BLAS thread.
+        spec = GridSpec(n_values=[5, 20], m_values=[190, 250], trials=1, eps=0.1,
+                        solver=fast_cfg(50), master_seed=3)
+        serial = run_grid(spec, workers=1)
+        parallel = run_grid(spec, workers=2)
+        assert [no_wall(r) for r in serial.rows] == [no_wall(r) for r in parallel.rows]
+
+    def test_nonpositive_workers_rejected(self):
+        spec = GridSpec(n_values=[2], m_values=[6], trials=1, solver=fast_cfg(5))
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                run_grid(spec, workers=workers)
+
     def test_rows_sorted(self):
         spec = GridSpec(n_values=[3, 2], m_values=[9, 6], trials=2, eps=0.0,
                         solver=fast_cfg(20), master_seed=1)
@@ -86,6 +103,61 @@ class TestRunGrid:
             GridSpec(n_values=[], m_values=[5])
         with pytest.raises(ValueError):
             GridSpec(n_values=[3], m_values=[5], trials=0)
+
+
+class TestSingleBlasThread:
+    @pytest.fixture
+    def blas(self):
+        api = harness._openblas_threads()
+        if api is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread calls")
+        get, put = api
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_run_trial_restores_thread_count(self, blas, monkeypatch, raises):
+        inside = []
+        solve = harness.solve
+
+        def probe(*args, **kwargs):
+            inside.append(blas())
+            if raises:
+                raise KeyError("not a solver failure")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", probe)
+        before = blas()
+        if raises:
+            with pytest.raises(KeyError):
+                run_trial(3, 12, 0.05, fast_cfg(20), seed=7)
+        else:
+            run_trial(3, 12, 0.05, fast_cfg(20), seed=7)
+        assert inside == [1]
+        assert blas() == before
+
+    @pytest.fixture
+    def no_openblas(self, monkeypatch):
+        """The resolver as it runs against a BLAS without the OpenBLAS calls."""
+        class NoSymbols:
+            def __init__(self, path):
+                self.path = path
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", NoSymbols)
+        harness._openblas_threads.cache_clear()
+        yield
+        harness._openblas_threads.cache_clear()
+
+    def test_missing_symbols_are_a_no_op(self, no_openblas):
+        assert harness._openblas_threads() is None
+        spec = GridSpec(n_values=[2, 3], m_values=[6, 9], trials=2, eps=0.1,
+                        solver=fast_cfg(30), master_seed=11)
+        serial = run_grid(spec, workers=1)
+        parallel = run_grid(spec, workers=2)
+        assert len(serial.rows) == 8
+        assert [no_wall(r) for r in serial.rows] == [no_wall(r) for r in parallel.rows]
 
 
 def fake_result(mean_errors, trials=1):

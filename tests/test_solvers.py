@@ -395,6 +395,25 @@ class TestCallStructure:
         assert counts["project_psd"] == [(1, 1)] * iters
         assert (counts["eig"], counts["eigh"]) == (iters, iters)
 
+    @pytest.mark.parametrize("record_every", [1, 100])
+    def test_nesterov_lifts_twice_per_step(self, monkeypatch, record_every):
+        # one lift for the gradient, one for the guard residual, which the
+        # trace reuses; plus the residual of iteration 0
+        calls = []
+        apply_lifted = solvers.apply_lifted
+
+        def counted(e, X):
+            calls.append(1)
+            return apply_lifted(e, X)
+
+        monkeypatch.setattr(solvers, "apply_lifted", counted)
+        e, b, _ = setup_instance(5, 12, 8, eps=0.05)
+        cfg = SolverConfig(method="nesterov", max_iters=100, alpha=1e-3,
+                           record_every=record_every)
+        t = solve_nesterov(e, b, cfg)
+        assert len(t.points) == (101 if record_every == 1 else 2)
+        assert len(calls) == 201
+
     def test_leading_eigenvector_is_one_eig(self, counts):
         rng = np.random.default_rng(9)
         leading_eigenvector(rand_hermitian(rng, 5))
