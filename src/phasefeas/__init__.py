@@ -42,6 +42,7 @@ from .linalg import (
 )
 from .projections import (
     AffineProjector,
+    affine_correction,
     build_affine_projector,
     leading_eigenvector,
     project_affine,

@@ -45,6 +45,8 @@ class GridSpec:
             raise ValueError("n_values and m_values must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be a finite number >= 0, got {self.eps!r}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +141,18 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
+def _trial_cost(task):
+    """Flops of one iteration, up to a constant: the lifts are m n^2, eigh is n^3."""
+    n, m = task[0], task[1]
+    return n * n * (m + n)
+
+
 def run_grid(spec, workers=None):
     """All (n, m, trial) combinations; rows sorted, worker-count invariant.
 
     `workers` defaults to the usable cores; the pool forks that many workers.
+    Trials go out one at a time, costliest first, so that no worker is left
+    with the largest trials at the end while the others idle.
     """
     tasks = [
         (n, m, t, derive_seed(spec.master_seed, n, m, t), spec.eps, spec.solver)
@@ -150,6 +160,7 @@ def run_grid(spec, workers=None):
         for m in spec.m_values
         for t in range(spec.trials)
     ]
+    tasks.sort(key=_trial_cost, reverse=True)
     if workers is None:
         workers = _usable_cores()
     elif workers < 1:
@@ -158,7 +169,7 @@ def run_grid(spec, workers=None):
         rows = [_grid_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grid_task, tasks, chunksize=8))
+            rows = list(pool.map(_grid_task, tasks, chunksize=1))
     rows.sort(key=lambda r: (r.n, r.m, r.trial))
     return GridResult(spec=spec, rows=rows)
 

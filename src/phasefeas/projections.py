@@ -8,7 +8,9 @@ where G = L L* is the Gram matrix of the rank-1 frame {z_i z_i*} and G^+ is
 a rank-revealing pseudoinverse (relative eigenvalue cutoff 1e-12), so the
 same code path covers the underdetermined, critically determined, and
 least-squares regimes.  The Gram factorization is computed once per problem
-instance and reused across all solver iterations.
+instance and reused across all solver iterations.  The correction
+L*(G^+ r) for a lifted residual r is `affine_correction`; the solvers call it
+with a residual they already hold, so they need not lift X again.
 """
 
 from dataclasses import dataclass
@@ -27,10 +29,18 @@ class AffineProjector:
     eigvecs: np.ndarray
     inv_vals: np.ndarray   # 1/lambda above the cutoff, 0 below
     cond: float            # lambda_max / smallest retained lambda
+    rank: int              # retained eigenvalues, the leading columns of eigvecs
     b: MeasurementVector
 
     def pinv_apply(self, y):
         return self.eigvecs @ (self.inv_vals * (self.eigvecs.T @ y))
+
+    def range_apply(self, y):
+        """G G^+ y, the part of y in the range of G; y itself at full rank."""
+        if self.rank == self.inv_vals.size:
+            return y
+        U = self.eigvecs[:, :self.rank]
+        return U @ (U.T @ y)
 
 
 def build_affine_projector(e, b):
@@ -53,15 +63,22 @@ def build_affine_projector(e, b):
     keep = vals > GRAM_CUTOFF * vmax
     inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
     cond = vmax / float(vals[keep][-1])
-    return AffineProjector(gram=gram, eigvecs=vecs,
-                           inv_vals=inv_vals, cond=cond, b=b)
+    return AffineProjector(gram=gram, eigvecs=vecs, inv_vals=inv_vals, cond=cond,
+                           rank=int(np.count_nonzero(keep)), b=b)
+
+
+def affine_correction(p, e, r):
+    """L*(G^+ r): X minus this is the affine projection of X when r = L(X) - b.
+
+    The result is exactly Hermitian, and L of it is `p.range_apply(r)`.
+    """
+    return apply_adjoint(e, p.pinv_apply(r))
 
 
 def project_affine(p, e, X):
     """Nearest matrix (Hilbert-Schmidt) with L(X) = b, least squares if overdetermined."""
     X = require_square(X)
-    resid = apply_lifted(e, X) - p.b.values
-    return hermitize(X - apply_adjoint(e, p.pinv_apply(resid)))
+    return hermitize(X - affine_correction(p, e, apply_lifted(e, X) - p.b.values))
 
 
 def project_psd(X):

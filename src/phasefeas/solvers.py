@@ -13,6 +13,17 @@ after every step by construction (the last operation applied is always the
 PSD projection).  Recovery error is recorded only when the ground truth is
 supplied; the feasibility residual ||L(X) - b||_2 / ||b||_2 is always
 recorded, along with tr(X).
+
+Each step lifts its new iterate once and hands L(X_k) on, both to the trace
+and to the next step, which gets every other lifted vector it needs by
+linearity.  DR rests on the identity
+
+    P_aff(2X - Y) - X + Y = X - L*(G^+ r),   r = L(2X - Y) - b = 2 L(X) - L(Y) - b,
+
+with L(Y_k) = L(X_{k-1}) - G G^+ r; POCS applies L*(G^+ (L(X) - b)) to the
+L(X) it holds; Nesterov's extrapolated point has L(Y_k) =
+L(X_k) + beta_k (L(X_k) - L(X_{k-1})).  So a k-step solve makes k + 1 calls
+of the lifted map, one of them for iteration 0.
 """
 
 import math
@@ -20,13 +31,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .linalg import dtype_for, hermitize, require_square
+from .linalg import dtype_for, hermitize, require_same_shape, require_square, schatten_norm
 from .projections import (
+    affine_correction,
     build_affine_projector,
     leading_eigenvector,
-    project_affine,
     project_psd,
-    recovery_error,
 )
 from .sensing import apply_adjoint, apply_lifted
 
@@ -52,10 +62,15 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        for name in ("alpha", "lambda_trace", "stop_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.method == NESTEROV and self.alpha <= 0:
             raise ValueError("alpha must be positive for the Nesterov method")
         if self.lambda_trace < 0:
             raise ValueError("lambda_trace must be nonnegative")
+        if self.stop_tol < 0:
+            raise ValueError("stop_tol must be nonnegative")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -83,8 +98,9 @@ class SolverTrace:
         return self.points[-1].residual if self.points else math.nan
 
 
-def _residual(e, b_values, X, b_norm):
-    gap = np.linalg.norm(apply_lifted(e, X) - b_values)
+def _relative_residual(lifted, b, b_norm):
+    """||L(X) - b||_2 / ||b||_2 from L(X); the bare norm when b = 0."""
+    gap = np.linalg.norm(lifted - b.values)
     return float(gap / b_norm) if b_norm > 0 else float(gap)
 
 
@@ -106,37 +122,41 @@ def _check_method(cfg, method):
         raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
 
 
-def _iterate(e, b, cfg, X0_true, X, step):
-    """The iteration loop shared by every solver: X_k, res_k = step(X_{k-1}).
+def _iterate(b, cfg, X0_true, X, lX, step):
+    """The iteration loop shared by every solver: X_k, L(X_k) = step(X_{k-1}, L(X_{k-1})).
 
-    A step returns the new iterate and its feasibility residual, or None in
-    place of a residual it did not compute; `record` computes that one.
-    Records iteration 0, every `record_every`-th iteration, the last
-    iteration and the early-stop iteration, each once.  An exception raised
-    by a step is re-raised as RuntimeError("iteration k: ...").
+    `lX` is L(X) of the starting iterate.  Records iteration 0, every
+    `record_every`-th iteration, the last iteration and the early-stop
+    iteration, each once, with the residual taken from the lifted vector the
+    step returned; the recovery error divides by ||X0_true||_F, computed once.
+    An exception raised by a step is re-raised as RuntimeError("iteration k: ...").
     """
     b_norm = float(np.linalg.norm(b.values))
+    if X0_true is not None:
+        X0_true = require_same_shape(X, X0_true)[1]
+        x0_norm = schatten_norm(X0_true, 2)
+        if x0_norm == 0:
+            raise ValueError("X0 must be nonzero")
     trace = SolverTrace()
 
-    def record(k, X, res=None):
-        err = recovery_error(X, X0_true) if X0_true is not None else math.nan
-        if res is None:
-            res = _residual(e, b.values, X, b_norm)
+    def record(k, X, lX):
+        err = schatten_norm(X - X0_true, 2) / x0_norm if X0_true is not None else math.nan
+        res = _relative_residual(lX, b, b_norm)
         tr = float(np.real(np.trace(X)))
         if not (math.isfinite(res) and math.isfinite(tr)):
             raise RuntimeError(f"non-finite iterate at iteration {k}")
         trace.points.append(TracePoint(k, err, res, tr))
 
-    record(0, X)
+    record(0, X, lX)
     for k in range(1, cfg.max_iters + 1):
         try:
-            X_new, res = step(X)
+            X_new, lX = step(X, lX)
         except Exception as err:
             raise RuntimeError(f"iteration {k}: {err}") from err
         stop = cfg.stop_tol > 0 and _rel_change(X_new, X) <= cfg.stop_tol
         X = X_new
         if stop or k % cfg.record_every == 0 or k == cfg.max_iters:
-            record(k, X, res)
+            record(k, X, lX)
         if stop:
             break
     trace.final_X = X
@@ -148,25 +168,44 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
     """Douglas-Rachford iteration on the affine slice and the PSD cone.
 
     Y_k = P_aff(2 X_{k-1} - Y_{k-1}) - X_{k-1} + Y_{k-1};  X_k = P_psd(Y_k).
+
+    Computed as Y_k = X_{k-1} - L*(G^+ r) with r = 2 L(X_{k-1}) - L(Y_{k-1}) - b,
+    which is the same point: P_aff(W) = W - L*(G^+ (L(W) - b)) at
+    W = 2X - Y.  L(Y_k) = L(X_{k-1}) - G G^+ r follows without a lift.
     """
     _check_method(cfg, DR)
     Y = _init_state(e.n, dtype_for(e.field), X_start)
-    X = project_psd(Y) if X_start is not None else Y.copy()
+    lY = apply_lifted(e, Y)
+    if X_start is None:
+        X, lX = Y.copy(), lY
+    else:
+        X = project_psd(Y)
+        lX = apply_lifted(e, X)
 
-    def step(X):
-        nonlocal Y
-        Y = project_affine(p, e, 2 * X - Y) - X + Y
-        return project_psd(Y), None
+    def step(X, lX):
+        nonlocal Y, lY
+        r = 2 * lX - lY - p.b.values
+        Y = X - affine_correction(p, e, r)
+        lY = lX - p.range_apply(r)
+        X_new = project_psd(Y)
+        return X_new, apply_lifted(e, X_new)
 
-    return _iterate(e, p.b, cfg, X0_true, X, step)
+    return _iterate(p.b, cfg, X0_true, X, lX, step)
 
 
 def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
-    """Alternating projections X_{k} = P_psd(P_aff(X_{k-1}))."""
+    """Alternating projections X_{k} = P_psd(P_aff(X_{k-1})).
+
+    P_aff(X) = X - L*(G^+ (L(X) - b)) takes L(X) from the previous step.
+    """
     _check_method(cfg, POCS)
     X = _init_state(e.n, dtype_for(e.field), X_start)
-    return _iterate(e, p.b, cfg, X0_true, X,
-                    lambda X: (project_psd(project_affine(p, e, X)), None))
+
+    def step(X, lX):
+        X_new = project_psd(X - affine_correction(p, e, lX - p.b.values))
+        return X_new, apply_lifted(e, X_new)
+
+    return _iterate(p.b, cfg, X0_true, X, apply_lifted(e, X), step)
 
 
 def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
@@ -177,32 +216,36 @@ def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
     beta_k  = theta_k (1/theta_{k-1} - 1),
     Y_k     = X_k + beta_k (X_k - X_{k-1}),
 
-    with grad g(X) = L*(L(X) - b) + lambda I.  Aborts when the feasibility
-    residual exceeds 1e6 (step size too large).  The guard checks every step,
-    not only recorded ones, and hands its residual on to the trace.
+    with grad g(X) = L*(L(X) - b) + lambda I and L(Y_k) taken by linearity
+    from L(X_k) and L(X_{k-1}).  Aborts when the feasibility residual
+    exceeds 1e6 (step size too large).  The guard checks every step, not
+    only recorded ones.
     """
     _check_method(cfg, NESTEROV)
     dtype = dtype_for(e.field)
     X = _init_state(e.n, dtype, X_start)
-    Y = X.copy()
-    eye = np.eye(e.n, dtype=dtype)
+    Y, lX = X.copy(), apply_lifted(e, X)
+    lY = lX
+    shift = cfg.lambda_trace * np.eye(e.n, dtype=dtype)
     theta = 1.0
     b_norm = float(np.linalg.norm(b.values))
 
-    def step(X):
-        nonlocal Y, theta
-        grad = apply_adjoint(e, apply_lifted(e, Y) - b.values) + cfg.lambda_trace * eye
+    def step(X, lX):
+        nonlocal Y, lY, theta
+        grad = apply_adjoint(e, lY - b.values) + shift
         X_new = project_psd(Y - cfg.alpha * grad)
-        res = _residual(e, b.values, X_new, b_norm)
+        lX_new = apply_lifted(e, X_new)
+        res = _relative_residual(lX_new, b, b_norm)
         if not math.isfinite(res) or res > DIVERGENCE_LIMIT:
             raise RuntimeError(f"step size too large: residual {res:.3e}")
         theta_new = _next_theta(theta)
         beta = theta_new * (1.0 / theta - 1.0)
         Y = X_new + beta * (X_new - X)
+        lY = lX_new + beta * (lX_new - lX)
         theta = theta_new
-        return X_new, res
+        return X_new, lX_new
 
-    return _iterate(e, b, cfg, X0_true, X, step)
+    return _iterate(b, cfg, X0_true, X, lX, step)
 
 
 def solve(e, b, cfg, X0_true=None):

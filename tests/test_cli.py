@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phasefeas import harness
 from phasefeas.cli import main, parse_range, read_measurements
 from phasefeas.linalg import COMPLEX, REAL
 from phasefeas.sensing import measure, sample_ensemble
@@ -56,6 +57,23 @@ class TestGridCommand:
         assert main(["--threads", threads, "grid", "--n", "2", "--m", "6",
                      "--trials", "1", "--iters", "5", "--out", str(out)]) == 2
         assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--eps", "nan"], "eps"),
+        (["--eps", "-0.1"], "eps"),
+        (["--solver", "nesterov", "--alpha", "nan"], "alpha"),
+        (["--lambda", "nan"], "lambda_trace"),
+    ], ids=["eps-nan", "eps-negative", "alpha-nan", "lambda-nan"])
+    def test_bad_numbers_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch, flags, name):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        out = tmp_path / "g"
+        assert main(["--threads", "1", "grid", "--n", "2", "--m", "6", "--trials", "1",
+                     "--iters", "5", "--out", str(out)] + flags) == 2
+        assert name in capsys.readouterr().err
         assert not out.exists()
 
     def test_heatmap_is_valid_pgm(self, tmp_path):

@@ -104,6 +104,28 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             GridSpec(n_values=[3], m_values=[5], trials=0)
 
+    @pytest.mark.parametrize("eps", [math.nan, -0.1, math.inf])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            GridSpec(n_values=[3], m_values=[5], eps=eps)
+
+    def test_costliest_trials_dispatched_first(self, monkeypatch):
+        order = []
+        task = harness._grid_task
+
+        def recorded(args):
+            order.append(args[:3])
+            return task(args)
+
+        monkeypatch.setattr(harness, "_grid_task", recorded)
+        spec = GridSpec(n_values=[2, 5, 3], m_values=[6, 30], trials=2, solver=fast_cfg(5))
+        result = run_grid(spec, workers=1)
+        costs = [n * n * (n + m) for n, m, _ in order]
+        assert costs == sorted(costs, reverse=True)
+        assert order[0][:2] == (5, 30) and order[-1][:2] == (2, 6)
+        keys = [(r.n, r.m, r.trial) for r in result.rows]
+        assert keys == sorted(keys)
+
 
 class TestSingleBlasThread:
     @pytest.fixture

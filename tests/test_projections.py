@@ -71,6 +71,23 @@ class TestBuildAffineProjector:
         back = p.gram @ p.pinv_apply(y)
         assert np.linalg.norm(back - y) <= 1e-8 * max(1.0, np.linalg.norm(y))
 
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("m, repeat", [(6, False), (12, False), (6, True)])
+    def test_range_apply_is_gram_times_pinv(self, field, m, repeat):
+        # n = 3: m = 12 exceeds n(n+1)/2 = 6, and a repeated row makes G
+        # singular in either field; at full rank range_apply hands y back
+        e = sample_ensemble(3, m, field, seed=m)
+        if repeat:
+            e = ensemble_from_rows(np.vstack([e.vectors[:-1], e.vectors[:1]]), field)
+        p = build_affine_projector(e, MeasurementVector(values=np.zeros(m)))
+        y = np.random.default_rng(m).standard_normal(m)
+        ref = p.gram @ p.pinv_apply(y)
+        assert np.linalg.norm(p.range_apply(y) - ref) <= 1e-8 * np.linalg.norm(y)
+        if p.rank == m:
+            assert p.range_apply(y) is y
+        else:
+            assert np.linalg.norm(p.range_apply(y) - y) > 1e-3 * np.linalg.norm(y)
+
     def test_nonfinite_rejected(self):
         e = ensemble_from_rows([[np.inf, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _utils import rand_hermitian
+from _utils import FIELDS, rand_hermitian, rand_unit, rand_vector
 from phasefeas import projections, solvers
 from phasefeas.harness import run_trial
-from phasefeas.linalg import hermitize
+from phasefeas.linalg import dtype_for, hermitize
 from phasefeas.projections import (
     build_affine_projector,
     leading_eigenvector,
@@ -15,7 +16,15 @@ from phasefeas.projections import (
     project_psd,
     vector_error_up_to_phase,
 )
-from phasefeas.sensing import add_noise, derive_seed, measure, sample_ensemble
+from phasefeas.sensing import (
+    SensingEnsemble,
+    add_noise,
+    apply_adjoint,
+    apply_lifted,
+    derive_seed,
+    measure,
+    sample_ensemble,
+)
 from phasefeas.solvers import (
     SolverConfig,
     round_to_vector,
@@ -55,6 +64,20 @@ class TestConfig:
             SolverConfig(method="nesterov", alpha=0.0)
         with pytest.raises(ValueError):
             SolverConfig(lambda_trace=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": math.nan},
+        {"method": "nesterov", "alpha": math.nan},
+        {"method": "nesterov", "alpha": math.inf},
+        {"lambda_trace": math.nan},
+        {"method": "nesterov", "lambda_trace": math.inf},
+        {"stop_tol": -1e-6},
+        {"stop_tol": math.nan},
+        {"stop_tol": math.inf},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_numbers_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="alpha|lambda_trace|stop_tol"):
+            SolverConfig(**kwargs)
 
 
 class TestDouglasRachford:
@@ -396,9 +419,11 @@ class TestCallStructure:
         assert (counts["eig"], counts["eigh"]) == (iters, iters)
 
     @pytest.mark.parametrize("record_every", [1, 100])
-    def test_nesterov_lifts_twice_per_step(self, monkeypatch, record_every):
-        # one lift for the gradient, one for the guard residual, which the
-        # trace reuses; plus the residual of iteration 0
+    @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
+    def test_one_lift_per_step(self, monkeypatch, method, record_every):
+        # each step lifts its new iterate once, for the trace and the next
+        # step alike; the extra call is the lift of the starting point.
+        # Counted in every namespace a solver step could lift through.
         calls = []
         apply_lifted = solvers.apply_lifted
 
@@ -406,15 +431,88 @@ class TestCallStructure:
             calls.append(1)
             return apply_lifted(e, X)
 
-        monkeypatch.setattr(solvers, "apply_lifted", counted)
+        for module in (solvers, projections):
+            monkeypatch.setattr(module, "apply_lifted", counted)
         e, b, _ = setup_instance(5, 12, 8, eps=0.05)
-        cfg = SolverConfig(method="nesterov", max_iters=100, alpha=1e-3,
+        cfg = SolverConfig(method=method, max_iters=100, alpha=1e-3,
                            record_every=record_every)
-        t = solve_nesterov(e, b, cfg)
+        t = solve(e, b, cfg)
         assert len(t.points) == (101 if record_every == 1 else 2)
-        assert len(calls) == 201
+        assert len(calls) == 101
 
     def test_leading_eigenvector_is_one_eig(self, counts):
         rng = np.random.default_rng(9)
         leading_eigenvector(rand_hermitian(rng, 5))
         assert (counts["eig"], counts["eigh"]) == (1, 1)
+
+
+@st.composite
+def instances(draw):
+    """Small random instances of both fields, noisy or exact, with m = 1,
+    m past n(n+1)/2 (a rank-deficient Gram matrix in the real field) and
+    repeated rows (a rank-deficient Gram matrix in either field)."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    dim = n * (n + 1) // 2
+    m = draw(st.one_of(st.just(1), st.integers(1, 2 * n + 2), st.integers(dim, dim + 5)))
+    repeats = draw(st.integers(0, min(m - 1, 3)))
+    eps = draw(st.sampled_from([0.0, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [rand_vector(rng, n, field) for _ in range(m - repeats)]
+    rows += [rows[int(rng.integers(len(rows)))] for _ in range(repeats)]
+    e = SensingEnsemble(n=n, m=m, field=field, vectors=np.array(rows), seed=None)
+    b = add_noise(measure(e, rand_unit(rng, n, field)), eps, 1.0, seed=int(rng.integers(2**32)))
+    return e, b
+
+
+EQUIVALENCE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def _rel_gap(X, ref):
+    return np.linalg.norm(X - ref) / max(1.0, np.linalg.norm(ref))
+
+
+class TestStepEquivalence:
+    """Each solver against its textbook loop, which lifts every point it needs."""
+
+    @EQUIVALENCE
+    @given(instances(), st.integers(1, 25))
+    def test_dr_matches_textbook_loop(self, instance, k):
+        e, b = instance
+        p = build_affine_projector(e, b)
+        X = Y = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
+        for _ in range(k):
+            Y = project_affine(p, e, 2 * X - Y) - X + Y
+            X = project_psd(Y)
+        t = solve_dr(p, e, SolverConfig(max_iters=k, record_every=k))
+        assert _rel_gap(t.final_X, X) <= 1e-10
+
+    @EQUIVALENCE
+    @given(instances(), st.integers(1, 25))
+    def test_pocs_is_bitwise_the_textbook_loop(self, instance, k):
+        e, b = instance
+        p = build_affine_projector(e, b)
+        X = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
+        for _ in range(k):
+            X = project_psd(project_affine(p, e, X))
+        t = solve_pocs(p, e, SolverConfig(method="pocs", max_iters=k, record_every=k))
+        assert np.array_equal(t.final_X, X)
+
+    @EQUIVALENCE
+    @given(instances(), st.integers(1, 25), st.sampled_from([0.0, 1e-3]))
+    def test_nesterov_matches_textbook_loop(self, instance, k, lam):
+        e, b = instance
+        alpha = 1.0 / build_affine_projector(e, b).gram.trace()  # below 1/lambda_max(G)
+        eye = np.eye(e.n, dtype=dtype_for(e.field))
+        X = Y = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
+        theta = 1.0
+        for _ in range(k):
+            grad = apply_adjoint(e, apply_lifted(e, Y) - b.values) + lam * eye
+            X_new = project_psd(Y - alpha * grad)
+            theta_new = theta_sequence(1, theta)[0]
+            Y = X_new + theta_new * (1.0 / theta - 1.0) * (X_new - X)
+            X, theta = X_new, theta_new
+        cfg = SolverConfig(method="nesterov", max_iters=k, record_every=k,
+                           alpha=alpha, lambda_trace=lam)
+        t = solve_nesterov(e, b, cfg)
+        assert _rel_gap(t.final_X, X) <= 1e-10
