@@ -84,8 +84,8 @@ def build_certificate(e, params):
         raise ValueError(f"dimension mismatch: anchor {anchor.shape} vs ensemble n={e.n}")
     if e.n < 2:
         raise ValueError("certificate requires n >= 2 (log n degenerates the truncation event)")
-    if not math.isinf(params.beta) and params.beta <= 0:
-        raise ValueError(f"beta must be positive, got {params.beta}")
+    if not params.beta > 0:  # rejects nan and -inf too; +inf disables truncation
+        raise ValueError(f"beta must be positive (inf disables truncation), got {params.beta}")
     lam = truncation_mask(e, anchor, params.beta) * certificate_weights(e, anchor) / e.m
     return apply_adjoint(e, lam), lam
 

@@ -43,6 +43,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.n_values or not self.m_values:
             raise ValueError("n_values and m_values must be nonempty")
+        if min(self.n_values) < 1 or min(self.m_values) < 1:
+            raise ValueError(f"n and m must be >= 1, got smallest n={min(self.n_values)}, "
+                             f"m={min(self.m_values)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not (math.isfinite(self.eps) and self.eps >= 0):

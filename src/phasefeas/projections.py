@@ -26,25 +26,31 @@ GRAM_CUTOFF = 1e-12
 @dataclass(frozen=True)
 class AffineProjector:
     gram: np.ndarray       # (m, m) real symmetric PSD
-    eigvecs: np.ndarray
-    inv_vals: np.ndarray   # 1/lambda above the cutoff, 0 below
+    eigvecs: np.ndarray    # (m, rank): the eigenvectors above the cutoff, descending
+    inv_vals: np.ndarray   # (rank,): 1/lambda of those eigenvectors
     cond: float            # lambda_max / smallest retained lambda
-    rank: int              # retained eigenvalues, the leading columns of eigvecs
     b: MeasurementVector
+
+    @property
+    def rank(self):
+        """Retained eigenvalues: the eigenvalues of G above the cutoff."""
+        return self.eigvecs.shape[1]
 
     def pinv_apply(self, y):
         return self.eigvecs @ (self.inv_vals * (self.eigvecs.T @ y))
 
     def range_apply(self, y):
         """G G^+ y, the part of y in the range of G; y itself at full rank."""
-        if self.rank == self.inv_vals.size:
+        if self.rank == self.gram.shape[0]:
             return y
-        U = self.eigvecs[:, :self.rank]
-        return U @ (U.T @ y)
+        return self.eigvecs @ (self.eigvecs.T @ y)
 
 
 def build_affine_projector(e, b):
-    """Factor the Gram matrix of the measurement frame once, for reuse."""
+    """Factor the Gram matrix of the measurement frame once, for reuse.
+
+    Only the eigenpairs above the cutoff are kept: G^+ is zero on the rest.
+    """
     if b.values.shape != (e.m,):
         raise ValueError(f"dimension mismatch: b has shape {b.values.shape}, ensemble m={e.m}")
     inner = e.vectors.conj() @ e.vectors.T
@@ -56,15 +62,13 @@ def build_affine_projector(e, b):
         vals, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as err:
         raise RuntimeError(f"Gram factorization failed: {err}") from err
-    vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     vmax = float(vals[0]) if vals.size else 0.0
     if vmax <= 0:
         raise RuntimeError(f"Gram factorization failed: matrix is zero (lambda_max={vmax!r})")
-    keep = vals > GRAM_CUTOFF * vmax
-    inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    cond = vmax / float(vals[keep][-1])
-    return AffineProjector(gram=gram, eigvecs=vecs, inv_vals=inv_vals, cond=cond,
-                           rank=int(np.count_nonzero(keep)), b=b)
+    rank = int(np.count_nonzero(vals > GRAM_CUTOFF * vmax))
+    return AffineProjector(gram=gram, eigvecs=vecs[:, :rank].copy(), inv_vals=1.0 / vals[:rank],
+                           cond=vmax / float(vals[rank - 1]), b=b)
 
 
 def affine_correction(p, e, r):

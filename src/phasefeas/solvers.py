@@ -8,11 +8,11 @@ picks one by ``cfg.method``:
 * ``solve_nesterov`` accelerated projected gradient on
                      g(X) = 1/2 ||L(X) - b||^2 + lambda tr(X).
 
-All start from X = Y = 0 unless a warm start is given.  Iterates are PSD
-after every step by construction (the last operation applied is always the
-PSD projection).  Recovery error is recorded only when the ground truth is
-supplied; the feasibility residual ||L(X) - b||_2 / ||b||_2 is always
-recorded, along with tr(X).
+All start from X = Y = 0 unless a warm start is given, and all run exactly
+``cfg.max_iters`` steps.  Iterates are PSD after every step by construction
+(the last operation applied is always the PSD projection).  Recovery error
+is recorded only when the ground truth is supplied; the feasibility
+residual ||L(X) - b||_2 / ||b||_2 is always recorded, along with tr(X).
 
 Each step lifts its new iterate once and hands L(X_k) on, both to the trace
 and to the next step, which gets every other lifted vector it needs by
@@ -54,7 +54,6 @@ class SolverConfig:
     max_iters: int = 1000
     alpha: float = 2e-4        # Nesterov step size (2e-4 grid, 1e-4 convergence runs)
     lambda_trace: float = 0.0  # Nesterov trace penalty; 0 = pure feasibility
-    stop_tol: float = 0.0      # relative-change early stop; 0 = fixed iteration count
     record_every: int = 1
 
     def __post_init__(self):
@@ -62,15 +61,13 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("alpha", "lambda_trace", "stop_tol"):
+        for name in ("alpha", "lambda_trace"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.method == NESTEROV and self.alpha <= 0:
             raise ValueError("alpha must be positive for the Nesterov method")
         if self.lambda_trace < 0:
             raise ValueError("lambda_trace must be nonnegative")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -87,7 +84,6 @@ class TracePoint:
 class SolverTrace:
     points: list = dc_field(default_factory=list)
     final_X: np.ndarray | None = None
-    converged: bool = False
 
     @property
     def final_error(self):
@@ -113,10 +109,6 @@ def _init_state(n, dtype, X_start):
     return hermitize(X_start).astype(dtype, copy=True)
 
 
-def _rel_change(X_new, X_old):
-    return np.linalg.norm(X_new - X_old) / max(1.0, np.linalg.norm(X_new))
-
-
 def _check_method(cfg, method):
     if cfg.method != method:
         raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
@@ -125,10 +117,11 @@ def _check_method(cfg, method):
 def _iterate(b, cfg, X0_true, X, lX, step):
     """The iteration loop shared by every solver: X_k, L(X_k) = step(X_{k-1}, L(X_{k-1})).
 
-    `lX` is L(X) of the starting iterate.  Records iteration 0, every
-    `record_every`-th iteration, the last iteration and the early-stop
-    iteration, each once, with the residual taken from the lifted vector the
-    step returned; the recovery error divides by ||X0_true||_F, computed once.
+    Runs exactly `cfg.max_iters` steps.  `lX` is L(X) of the starting
+    iterate.  Records iteration 0, every `record_every`-th iteration and the
+    last iteration, each once, with the residual taken from the lifted vector
+    the step returned; the recovery error divides by ||X0_true||_F, computed
+    once.
     An exception raised by a step is re-raised as RuntimeError("iteration k: ...").
     """
     b_norm = float(np.linalg.norm(b.values))
@@ -150,17 +143,12 @@ def _iterate(b, cfg, X0_true, X, lX, step):
     record(0, X, lX)
     for k in range(1, cfg.max_iters + 1):
         try:
-            X_new, lX = step(X, lX)
+            X, lX = step(X, lX)
         except Exception as err:
             raise RuntimeError(f"iteration {k}: {err}") from err
-        stop = cfg.stop_tol > 0 and _rel_change(X_new, X) <= cfg.stop_tol
-        X = X_new
-        if stop or k % cfg.record_every == 0 or k == cfg.max_iters:
+        if k % cfg.record_every == 0 or k == cfg.max_iters:
             record(k, X, lX)
-        if stop:
-            break
     trace.final_X = X
-    trace.converged = trace.final_residual <= max(cfg.stop_tol, 10 * b.epsilon)
     return trace
 
 

@@ -88,6 +88,14 @@ class TestBuildCertificate:
         with pytest.raises(ValueError, match="beta"):
             build_certificate(e, CertificateParams(anchor=e1(4), beta=0.0))
 
+    @pytest.mark.parametrize("beta", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_beta_rejected(self, beta):
+        # +inf disables truncation; nan would truncate every sample, and
+        # -inf would pass for "no truncation"
+        e = sample_ensemble(4, 5, seed=0)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            build_certificate(e, CertificateParams(anchor=e1(4), beta=beta))
+
 
 class TestCheckCertificate:
     def test_exact_limit_certificate(self):

@@ -76,6 +76,22 @@ class TestGridCommand:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "0:20:5", "--m", "6"],
+        ["--n", "2", "--m", "0:12:6"],
+    ], ids=["n-zero", "m-zero"])
+    def test_n_or_m_below_1_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch, flags):
+        # n = 0 trials cost nothing, so they would be scheduled last
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        out = tmp_path / "g"
+        assert main(["--threads", "1", "grid", "--trials", "1", "--iters", "5",
+                     "--out", str(out)] + flags) == 2
+        assert "n and m must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heatmap_is_valid_pgm(self, tmp_path):
         out = tmp_path / "g"
         assert main(["--threads", "1", "grid", "--n", "2", "--m", "6:9:3",
@@ -116,6 +132,15 @@ class TestCertifyCommand:
                      "--out", str(out)]) == 2
         assert "seeds must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("beta", ["nan", "-inf"])
+    def test_bad_beta_exit_2(self, tmp_path, capsys, beta):
+        out = tmp_path / "y"
+        assert main(["certify", "--n", "6", "--m", "120", f"--beta={beta}", "--seeds", "2",
+                     "--out", str(out)]) == 2
+        assert "beta must be positive" in capsys.readouterr().err
+        assert not (out / "certificates.csv").exists()
+        assert not (out / "summary.txt").exists()
 
 
 class TestSolveCommand:

@@ -103,6 +103,10 @@ class TestRunGrid:
             GridSpec(n_values=[], m_values=[5])
         with pytest.raises(ValueError):
             GridSpec(n_values=[3], m_values=[5], trials=0)
+        with pytest.raises(ValueError, match="n and m must be >= 1"):
+            GridSpec(n_values=[5, 0], m_values=[5])
+        with pytest.raises(ValueError, match="n and m must be >= 1"):
+            GridSpec(n_values=[3], m_values=[5, -2])
 
     @pytest.mark.parametrize("eps", [math.nan, -0.1, math.inf])
     def test_bad_eps_rejected(self, eps):

@@ -88,6 +88,16 @@ class TestBuildAffineProjector:
         else:
             assert np.linalg.norm(p.range_apply(y) - y) > 1e-3 * np.linalg.norm(y)
 
+    def test_stores_only_retained_eigenpairs(self):
+        # real field, m = 12 > n(n+1)/2 = 6: G has rank 6 < m, and only the
+        # eigenpairs above the cutoff are kept
+        m = 12
+        e = sample_ensemble(3, m, REAL, seed=m)
+        p = build_affine_projector(e, MeasurementVector(values=np.zeros(m)))
+        assert p.rank < m
+        assert p.eigvecs.shape == (m, p.rank)
+        assert p.inv_vals.shape == (p.rank,)
+
     def test_nonfinite_rejected(self):
         e = ensemble_from_rows([[np.inf, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
