@@ -13,8 +13,6 @@ from .certificate import (
     CertificateReport,
     build_certificate,
     check_certificate,
-    estimate_l1_isometry,
-    pi_beta_bound,
 )
 from .harness import (
     GridResult,
@@ -71,7 +69,6 @@ from .solvers import (
     solve_dr,
     solve_nesterov,
     solve_pocs,
-    theta_sequence,
     write_trace_csv,
 )
 

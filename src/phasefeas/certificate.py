@@ -23,12 +23,11 @@ those quantities and compares them against the fixed thresholds 1/2, 1, 5.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import COMPLEX, REAL, check_anchor, project_T, schatten_norm
-from .sensing import apply_adjoint, apply_lifted
+from .linalg import REAL, check_anchor, project_T, schatten_norm
+from .sensing import apply_adjoint
 
 Y_T_NUCLEAR_MAX = 0.5
 T_PERP_MIN_EIG = 1.0
@@ -127,47 +126,3 @@ def _perp_basis(anchor):
     q, _ = np.linalg.qr(stacked)
     return q[:, 1:n]
 
-
-def pi_beta_bound(n, beta):
-    """Closed-form bound n^(-beta) + e^(-n/3) on the truncation probability."""
-    if 2.0 * beta * math.log(n) < 1.0:
-        raise ValueError(f"bound requires 2 beta log n >= 1, got beta={beta}, n={n}")
-    return float(n ** (-beta) + math.exp(-n / 3.0))
-
-
-class IsometryEstimate(NamedTuple):
-    upper_ratio: float  # max over sampled PSD X of m^-1 ||L(X)||_1 / ||X||_1
-    lower_ratio: float  # min over sampled X in T of m^-1 ||L(X)||_1 / ||X||
-    trials: int
-
-
-def estimate_l1_isometry(e, trials, seed, anchor=None):
-    """Empirical extremes of the l1-isometry ratios by random sampling.
-
-    Per trial (in this order): one PSD sample X = B B* with B standard
-    normal, and one tangent sample x0 y* + y x0* + t x0 x0*.  Sampling, not
-    a sup/inf; the trial count is recorded in the result.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if anchor is None:
-        anchor = np.zeros(e.n, dtype=complex if e.field == COMPLEX else float)
-        anchor[0] = 1.0
-    anchor = check_anchor(anchor)
-    rng = np.random.default_rng(seed)
-    upper, lower = -np.inf, np.inf
-    for _ in range(trials):
-        B = rng.standard_normal((e.n, e.n))
-        y = rng.standard_normal(e.n)
-        t = float(rng.standard_normal())
-        if e.field == COMPLEX:
-            B = B + 1j * rng.standard_normal((e.n, e.n))
-            y = y + 1j * rng.standard_normal(e.n)
-        X_psd = B @ B.conj().T
-        ratio = np.sum(np.abs(apply_lifted(e, X_psd))) / e.m / schatten_norm(X_psd, 1)
-        upper = max(upper, ratio)
-        X_t = (np.outer(anchor, y.conj()) + np.outer(y, anchor.conj())
-               + t * np.outer(anchor, anchor.conj()))
-        ratio = np.sum(np.abs(apply_lifted(e, X_t))) / e.m / schatten_norm(X_t, np.inf)
-        lower = min(lower, ratio)
-    return IsometryEstimate(float(upper), float(lower), trials)

@@ -148,7 +148,7 @@ def read_measurements(path, n):
     if not np.any(b > 0) and np.any(b < 0):
         raise ValueError(f"{path}: no positive measurement in b")
     Z = np.asarray(vectors)
-    e = SensingEnsemble(n=n, m=Z.shape[0], field=field, vectors=Z, seed=None)
+    e = SensingEnsemble(n=n, m=Z.shape[0], field=field, vectors=Z)
     return e, MeasurementVector(values=b, epsilon=0.0)
 
 
@@ -176,7 +176,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

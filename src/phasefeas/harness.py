@@ -124,11 +124,11 @@ def run_trial(n, m, eps, solver, seed, trial=0):
         X0 = np.outer(x0, x0)
         try:
             last = solve(e, b, solver, X0_true=X0).points[-1]
-            iters, err, res = last.iteration, last.recovery_error, last.residual
+            err, res = last.recovery_error, last.residual
         except RuntimeError:
-            iters, err, res = solver.max_iters, math.nan, math.nan
+            err, res = math.nan, math.nan
     wall_ms = (time.perf_counter() - start) * 1e3
-    return TrialRow(n=n, m=m, trial=trial, seed=seed, iters=iters,
+    return TrialRow(n=n, m=m, trial=trial, seed=seed, iters=solver.max_iters,
                     recovery_error=err, residual=res, wall_ms=wall_ms)
 
 

@@ -14,6 +14,7 @@ by keyed SeedSequence so regeneration from (n, m, field, seed) is bit-exact
 and parallel trials draw from disjoint streams.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +38,6 @@ class SensingEnsemble:
     m: int
     field: str
     vectors: np.ndarray  # (m, n), row i is z_i
-    seed: int | None     # None for externally supplied vectors
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def sample_ensemble(n, m, field=REAL, seed=0):
     Z = rng.standard_normal((m, n))
     if field == COMPLEX:
         Z = Z + 1j * rng.standard_normal((m, n))
-    return SensingEnsemble(n=n, m=m, field=field, vectors=Z, seed=int(seed))
+    return SensingEnsemble(n=n, m=m, field=field, vectors=Z)
 
 
 def measure(e, x):
@@ -118,8 +118,8 @@ def add_noise(b, eps, x0_norm, seed=0):
     stability experiments tight and reproducible.  eps = 0 returns the input
     values unchanged (epsilon field reset to 0).
     """
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
     if eps == 0:
         return replace(b, epsilon=0.0)
     rng = np.random.default_rng(seed)

@@ -8,11 +8,12 @@ picks one by ``cfg.method``:
 * ``solve_nesterov`` accelerated projected gradient on
                      g(X) = 1/2 ||L(X) - b||^2 + lambda tr(X).
 
-All start from X = Y = 0 unless a warm start is given, and all run exactly
-``cfg.max_iters`` steps.  Iterates are PSD after every step by construction
-(the last operation applied is always the PSD projection).  Recovery error
-is recorded only when the ground truth is supplied; the feasibility
-residual ||L(X) - b||_2 / ||b||_2 is always recorded, along with tr(X).
+All start from X = Y = 0; only DR and POCS take a warm start ``X_start``.
+All run exactly ``cfg.max_iters`` steps.  Iterates are PSD after every step
+by construction (the last operation applied is always the PSD projection).
+Recovery error is recorded only when the ground truth is supplied; the
+feasibility residual ||L(X) - b||_2 / ||b||_2 is always recorded, along
+with tr(X).
 
 Each step lifts its new iterate once and hands L(X_k) on, both to the trace
 and to the next step, which gets every other lifted vector it needs by
@@ -196,7 +197,7 @@ def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
     return _iterate(p.b, cfg, X0_true, X, apply_lifted(e, X), step)
 
 
-def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
+def solve_nesterov(e, b, cfg, X0_true=None):
     """Accelerated projected gradient with constant step size.
 
     X_k     = P_psd(Y_{k-1} - alpha grad g(Y_{k-1})),
@@ -211,7 +212,7 @@ def solve_nesterov(e, b, cfg, X0_true=None, X_start=None):
     """
     _check_method(cfg, NESTEROV)
     dtype = dtype_for(e.field)
-    X = _init_state(e.n, dtype, X_start)
+    X = np.zeros((e.n, e.n), dtype=dtype)
     Y, lX = X.copy(), apply_lifted(e, X)
     lY = lX
     shift = cfg.lambda_trace * np.eye(e.n, dtype=dtype)
@@ -250,15 +251,6 @@ def solve(e, b, cfg, X0_true=None):
 
 def _next_theta(theta):
     return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / theta**2))
-
-
-def theta_sequence(count, theta0=1.0):
-    """First `count` values of the acceleration parameter recurrence."""
-    out, theta = [], theta0
-    for _ in range(count):
-        theta = _next_theta(theta)
-        out.append(theta)
-    return out
 
 
 def round_to_vector(trace):

@@ -9,8 +9,6 @@ from phasefeas.certificate import (
     build_certificate,
     certificate_weights,
     check_certificate,
-    estimate_l1_isometry,
-    pi_beta_bound,
 )
 from phasefeas.linalg import COMPLEX, REAL, hermitize
 from phasefeas.sensing import SensingEnsemble, apply_adjoint, apply_lifted, sample_ensemble
@@ -39,7 +37,7 @@ class TestBuildCertificate:
         n = 4
         Z = np.zeros((1, n))
         Z[0, 0] = 1.0
-        e = SensingEnsemble(n=n, m=1, field=REAL, vectors=Z, seed=None)
+        e = SensingEnsemble(n=n, m=1, field=REAL, vectors=Z)
         Y, lam = build_certificate(e, CertificateParams(anchor=e1(n), beta=1.0))
         w = 3.0 / (n + 2) - 1.0
         assert lam[0] == pytest.approx(w)
@@ -69,8 +67,7 @@ class TestBuildCertificate:
         if field == COMPLEX:
             A = A + 1j * rng.standard_normal((n, n))
         Q, _ = np.linalg.qr(A)
-        rotated = SensingEnsemble(n=n, m=m, field=field,
-                                  vectors=e.vectors @ Q.T, seed=None)
+        rotated = SensingEnsemble(n=n, m=m, field=field, vectors=e.vectors @ Q.T)
         x0 = e1(n, field)
         Y_base, lam_base = build_certificate(e, CertificateParams(anchor=x0, beta=1.0))
         Y_rot, lam_rot = build_certificate(rotated, CertificateParams(anchor=Q @ x0, beta=1.0))
@@ -185,30 +182,6 @@ class TestColumnMoments:
         assert abs(ynorm_sq.mean() - eyn) <= 4 * sen
 
 
-class TestPiBetaBound:
-    def test_closed_form(self):
-        n = math.e
-        assert pi_beta_bound(n, 1.0) == pytest.approx(math.exp(-1) + math.exp(-math.e / 3))
-
-    def test_precondition(self):
-        with pytest.raises(ValueError, match="2 beta log n"):
-            pi_beta_bound(2, 0.1)
-
-    def test_monotone_in_beta(self):
-        assert pi_beta_bound(20, 2.0) < pi_beta_bound(20, 1.0)
-
-    def test_empirical_probability_below_bound(self):
-        # P(E^c) at n=20, beta=1 estimated from 1e6 samples; z1 and the
-        # remaining coordinates are sampled separately (they are independent)
-        n, nsamp = 20, 1_000_000
-        rng = np.random.default_rng(55)
-        z1 = rng.standard_normal(nsamp)
-        rest = rng.chisquare(n - 1, nsamp)
-        thresh = math.sqrt(2 * math.log(n))
-        p_emp = np.mean((np.abs(z1) > thresh) | (z1**2 + rest > 3 * n))
-        assert p_emp <= pi_beta_bound(n, 1.0)
-
-
 class TestIsometryEstimate:
     def test_rank_one_ratio_near_one(self):
         # for X = x0 x0* the per-sample value is chi-square with mean 1
@@ -224,42 +197,3 @@ class TestIsometryEstimate:
         e = sample_ensemble(n, m, seed=4)
         ratio = np.sum(np.abs(apply_lifted(e, np.eye(n)))) / m / n
         assert ratio == pytest.approx(1.0, abs=0.05)
-
-    def test_single_trial_reproducible(self):
-        # trials=1 must equal a by-hand evaluation of the same draws
-        n, m = 5, 200
-        e = sample_ensemble(n, m, seed=5)
-        est = estimate_l1_isometry(e, trials=1, seed=17)
-        rng = np.random.default_rng(17)
-        B = rng.standard_normal((n, n))
-        y = rng.standard_normal(n)
-        t = float(rng.standard_normal())
-        X_psd = B @ B.T
-        up = np.sum(np.abs(apply_lifted(e, X_psd))) / m / np.abs(np.linalg.eigvalsh(X_psd)).sum()
-        x0 = e1(n)
-        X_t = np.outer(x0, y) + np.outer(y, x0) + t * np.outer(x0, x0)
-        low = np.sum(np.abs(apply_lifted(e, X_t))) / m / np.abs(np.linalg.eigvalsh(X_t)).max()
-        assert est.upper_ratio == pytest.approx(up, rel=1e-12)
-        assert est.lower_ratio == pytest.approx(low, rel=1e-12)
-        assert est.trials == 1
-
-    def test_lemma_constants_real(self):
-        # empirical extremes must respect the isometry constants with
-        # delta = 1/9: upper <= 1 + delta, lower >= 0.94 (1 - delta)
-        e = sample_ensemble(10, 10_000, seed=6)
-        est = estimate_l1_isometry(e, trials=20, seed=12)
-        assert est.upper_ratio <= 1.0 + 1.0 / 9.0
-        assert est.lower_ratio >= 0.94 * (1.0 - 1.0 / 9.0)
-
-    def test_lemma_constants_complex_scaled(self):
-        # variance-2 complex coordinates scale both ratios by exactly 2
-        # relative to the unit-variance constants (0.828, delta <= 3/13)
-        e = sample_ensemble(10, 10_000, COMPLEX, seed=7)
-        est = estimate_l1_isometry(e, trials=20, seed=13)
-        assert est.upper_ratio <= 2.0 * (1.0 + 3.0 / 13.0)
-        assert est.lower_ratio >= 2.0 * 0.828 * (1.0 - 3.0 / 13.0)
-
-    def test_trials_validation(self):
-        e = sample_ensemble(4, 10, seed=8)
-        with pytest.raises(ValueError, match="trials"):
-            estimate_l1_isometry(e, trials=0, seed=0)

@@ -227,6 +227,27 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(path), "--n", "2", "--seed", "0"]) == 2
 
 
+class TestFileErrors:
+    def test_missing_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.csv"
+        assert main(["solve", "--input", str(path), "--n", "2", "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "absent.csv" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--n", "2", "--m", "6", "--trials", "1", "--iters", "5"],
+        ["converge", "--n", "2", "--m", "6", "--iters", "5"],
+        ["certify", "--n", "2", "--m", "6", "--seeds", "1"],
+    ], ids=["grid", "converge", "certify"])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert main(["--threads", "1"] + argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "taken" in err
+        assert out.read_text() == "keep\n"
+
+
 class TestReadMeasurements:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -227,8 +229,14 @@ class TestAddNoise:
 
     def test_negative_eps(self):
         b = MeasurementVector(values=np.zeros(3))
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="finite number >= 0"):
             add_noise(b, -0.1, 1.0, seed=0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps(self, eps):
+        b = MeasurementVector(values=np.ones(3))
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            add_noise(b, eps, 1.0, seed=0)
 
 
 def test_derive_seed_stable_and_disjoint():

@@ -1,8 +1,10 @@
-"""The benchmark's traced layers must name functions the package still has.
+"""The benchmark must find in the package every name it uses.
 
 `perfbench/run.py --trace 1` wraps every `(module, function)` in its `LAYERS`
-list; a layer that no longer exists breaks the traced run.  The list is read
-with `ast`, so the benchmark script is neither imported nor run.
+list; a layer that no longer exists breaks the traced run.  The workloads in
+`perfbench/workloads.py` read `pf.<name>` from the `phasefeas` package, and
+`solve-large` drives `cli.main` with a fixed argv.  Both files are read with
+`ast`, so the benchmark is neither imported nor run.
 """
 
 import ast
@@ -11,19 +13,71 @@ from pathlib import Path
 
 import pytest
 
-RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+import phasefeas
+from phasefeas.cli import build_parser
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+RUN_PY = PERFBENCH / "run.py"
+WORKLOADS_PY = PERFBENCH / "workloads.py"
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def traced_layers():
-    tree = ast.parse(RUN_PY.read_text(), filename=str(RUN_PY))
-    for node in tree.body:
+    for node in parse(RUN_PY).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError(f"no LAYERS assignment in {RUN_PY}")
 
 
+def is_package_ref(node):
+    """`pf` or `self.pf`: the workloads' handle on the `phasefeas` package."""
+    if isinstance(node, ast.Name):
+        return node.id == "pf"
+    return (isinstance(node, ast.Attribute) and node.attr == "pf"
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def workload_package_names():
+    return sorted({node.attr for node in ast.walk(parse(WORKLOADS_PY))
+                   if isinstance(node, ast.Attribute) and is_package_ref(node.value)})
+
+
+def solve_large_argv():
+    """The argv `SolveLarge._solve` passes to `cli.main`; computed entries become "0"."""
+    for cls in parse(WORKLOADS_PY).body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "SolveLarge":
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "main" and node.args
+                        and isinstance(node.args[0], ast.List)):
+                    return [elt.value if isinstance(elt, ast.Constant) else "0"
+                            for elt in node.args[0].elts]
+    raise AssertionError(f"no cli.main([...]) call in SolveLarge of {WORKLOADS_PY}")
+
+
 @pytest.mark.parametrize("module, function", traced_layers())
 def test_traced_layer_exists(module, function):
     mod = importlib.import_module(f"phasefeas.{module}")
     assert callable(getattr(mod, function, None)), f"phasefeas.{module}.{function} is gone"
+
+
+def test_workloads_use_package_names():
+    assert workload_package_names(), f"no pf.<name> found in {WORKLOADS_PY}"
+
+
+@pytest.mark.parametrize("name", workload_package_names())
+def test_workload_package_name_exists(name):
+    assert hasattr(phasefeas, name), f"phasefeas.{name} is gone"
+
+
+def test_solve_large_argv_parses():
+    argv = solve_large_argv()
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"cli rejects the solve-large argv {argv}")
+    assert args.command == "solve"
