@@ -3,7 +3,8 @@
 Everything downstream (sensing operators, projectors, solvers, certificate
 checks) works on plain numpy arrays: float64 for the real field, complex128
 for the complex field.  Hermitian matrices are kept exactly self-adjoint by
-construction via :func:`hermitize`.
+construction via :func:`hermitize`, or, for the real PSD rebuild W W^T, by
+BLAS `syrk`, which fills one triangle and mirrors it.
 """
 
 from typing import NamedTuple
@@ -77,7 +78,7 @@ def eig(X):
     arrays are reversed views of `eigh`'s output, not copies.
     """
     X = require_square(X)
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("non-finite input")
     values, vectors = np.linalg.eigh(X)
     return EigenDecomposition(values[::-1], vectors[:, ::-1])

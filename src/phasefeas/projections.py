@@ -7,10 +7,17 @@ The affine projector maps X onto {Z : L(Z) = b} via
 where G = L L* is the Gram matrix of the rank-1 frame {z_i z_i*} and G^+ is
 a rank-revealing pseudoinverse (relative eigenvalue cutoff 1e-12), so the
 same code path covers the underdetermined, critically determined, and
-least-squares regimes.  The Gram factorization is computed once per problem
-instance and reused across all solver iterations.  The correction
-L*(G^+ r) for a lifted residual r is `affine_correction`; the solvers call it
-with a residual they already hold, so they need not lift X again.
+least-squares regimes.  The Gram matrix is factored once per problem
+instance, and the dense m x m matrices G^+ (and G G^+, when G is singular)
+are formed from that factorization, so each solver iteration applies either
+with one matrix-vector product.  The correction L*(G^+ r) for a lifted
+residual r is `affine_correction`; the solvers call it with a residual they
+already hold, so they need not lift X again.
+
+The PSD projection rebuilds its output from the square-root factor
+W = V_+ diag(lambda_+)^{1/2} as W W*.  For a real W, numpy computes W @ W.T
+with BLAS `syrk`: half the flops of a general product, and the result is
+symmetric bit for bit.
 """
 
 from dataclasses import dataclass
@@ -25,31 +32,28 @@ GRAM_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class AffineProjector:
-    gram: np.ndarray       # (m, m) real symmetric PSD
-    eigvecs: np.ndarray    # (m, rank): the eigenvectors above the cutoff, descending
-    inv_vals: np.ndarray   # (rank,): 1/lambda of those eigenvectors
-    cond: float            # lambda_max / smallest retained lambda
+    gram: np.ndarray         # (m, m) real symmetric PSD
+    pinv: np.ndarray         # (m, m) G^+, zero on the eigenvectors below the cutoff
+    range_proj: np.ndarray | None  # (m, m) G G^+ when rank < m; None at full rank
+    rank: int                # eigenvalues of G above the cutoff
+    cond: float              # lambda_max / smallest retained lambda
     b: MeasurementVector
 
-    @property
-    def rank(self):
-        """Retained eigenvalues: the eigenvalues of G above the cutoff."""
-        return self.eigvecs.shape[1]
-
     def pinv_apply(self, y):
-        return self.eigvecs @ (self.inv_vals * (self.eigvecs.T @ y))
+        return self.pinv @ y
 
     def range_apply(self, y):
         """G G^+ y, the part of y in the range of G; y itself at full rank."""
-        if self.rank == self.gram.shape[0]:
+        if self.range_proj is None:
             return y
-        return self.eigvecs @ (self.eigvecs.T @ y)
+        return self.range_proj @ y
 
 
 def build_affine_projector(e, b):
     """Factor the Gram matrix of the measurement frame once, for reuse.
 
-    Only the eigenpairs above the cutoff are kept: G^+ is zero on the rest.
+    G^+ and G G^+ are built from the eigenpairs above the cutoff only: G^+
+    is zero on the rest.
     """
     if b.values.shape != (e.m,):
         raise ValueError(f"dimension mismatch: b has shape {b.values.shape}, ensemble m={e.m}")
@@ -67,8 +71,10 @@ def build_affine_projector(e, b):
     if vmax <= 0:
         raise RuntimeError(f"Gram factorization failed: matrix is zero (lambda_max={vmax!r})")
     rank = int(np.count_nonzero(vals > GRAM_CUTOFF * vmax))
-    return AffineProjector(gram=gram, eigvecs=vecs[:, :rank].copy(), inv_vals=1.0 / vals[:rank],
-                           cond=vmax / float(vals[rank - 1]), b=b)
+    V = vecs[:, :rank]
+    range_proj = V @ V.T if rank < e.m else None
+    return AffineProjector(gram=gram, pinv=(V / vals[:rank]) @ V.T, range_proj=range_proj,
+                           rank=rank, cond=vmax / float(vals[rank - 1]), b=b)
 
 
 def affine_correction(p, e, r):
@@ -88,13 +94,17 @@ def project_affine(p, e, X):
 def project_psd(X):
     """Nearest positive semidefinite matrix: clamp negative eigenvalues to 0.
 
-    Rebuilt from the r positive eigenpairs only (values are descending), so
-    the product costs n*n*r instead of n^3; r = 0 gives exact zeros.
+    Rebuilt as W W* from the r positive eigenpairs only (values are
+    descending), W = V_r diag(lambda_r)^{1/2}, so the product costs about
+    n*n*r/2 (real, `syrk`) instead of n^3; r = 0 gives exact zeros.  A real
+    W W* is already exactly symmetric; a complex one is made exactly
+    Hermitian.
     """
     d = eig(X)
     r = int(np.count_nonzero(d.values > 0))
-    V = d.vectors[:, :r]
-    return hermitize((V * d.values[:r]) @ V.conj().T)
+    W = d.vectors[:, :r] * np.sqrt(d.values[:r])
+    out = W @ W.conj().T
+    return hermitize(out) if np.iscomplexobj(out) else out
 
 
 def leading_eigenvector(X):

@@ -7,7 +7,10 @@ An ensemble holds m sensing vectors z_i (rows of a (m, n) array).  It defines
 * the adjoint                       L*(lam)  = sum_i lam_i z_i z_i*,
 
 plus the closed-form second-moment operator of the sampling law and its
-inverse, used by the dual-certificate construction.
+inverse, used by the dual-certificate construction.  The lifted map is one
+matrix product, conj(Z) X, then one `np.einsum` row reduction against Z,
+whose real part is L(X).  For a real Z the conjugate and the real part
+return the arrays themselves, not copies.
 
 Randomness is PCG64 (numpy default_rng) throughout; sub-streams are derived
 by keyed SeedSequence so regeneration from (n, m, field, seed) is bit-exact
@@ -77,7 +80,7 @@ def apply_lifted(e, X):
     if X.shape[0] != e.n:
         raise ValueError(f"dimension mismatch: X is {X.shape}, ensemble n={e.n}")
     Z = e.vectors
-    return np.real(np.sum((Z.conj() @ X) * Z, axis=1))
+    return np.einsum("ij,ij->i", Z.conj() @ X, Z).real
 
 
 def apply_adjoint(e, lam):
@@ -120,6 +123,8 @@ def add_noise(b, eps, x0_norm, seed=0):
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
+    if not math.isfinite(x0_norm):
+        raise ValueError(f"x0_norm must be a finite number, got {x0_norm!r}")
     if eps == 0:
         return replace(b, epsilon=0.0)
     rng = np.random.default_rng(seed)

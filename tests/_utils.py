@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from phasefeas.linalg import COMPLEX, REAL, hermitize
+from phasefeas.sensing import SensingEnsemble, add_noise, measure
 
 FIELDS = (REAL, COMPLEX)
 
@@ -41,3 +43,22 @@ def eig_loop_reference(X):
         if pivot != 0:
             vectors[:, j] *= np.conj(pivot) / abs(pivot)
     return values, vectors
+
+
+@st.composite
+def instances(draw):
+    """Small random instances of both fields, noisy or exact, with m = 1,
+    m past n(n+1)/2 (a rank-deficient Gram matrix in the real field) and
+    repeated rows (a rank-deficient Gram matrix in either field)."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    dim = n * (n + 1) // 2
+    m = draw(st.one_of(st.just(1), st.integers(1, 2 * n + 2), st.integers(dim, dim + 5)))
+    repeats = draw(st.integers(0, min(m - 1, 3)))
+    eps = draw(st.sampled_from([0.0, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [rand_vector(rng, n, field) for _ in range(m - repeats)]
+    rows += [rows[int(rng.integers(len(rows)))] for _ in range(repeats)]
+    e = SensingEnsemble(n=n, m=m, field=field, vectors=np.array(rows))
+    b = add_noise(measure(e, rand_unit(rng, n, field)), eps, 1.0, seed=int(rng.integers(2**32)))
+    return e, b

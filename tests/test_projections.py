@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _utils import FIELDS, eig_loop_reference, rand_hermitian, rand_unit
+from _utils import FIELDS, eig_loop_reference, instances, rand_hermitian, rand_unit
 from phasefeas.linalg import COMPLEX, REAL, hermitize, hs_inner, schatten_norm
 from phasefeas.projections import (
+    GRAM_CUTOFF,
     build_affine_projector,
     leading_eigenvector,
     project_affine,
@@ -88,15 +90,20 @@ class TestBuildAffineProjector:
         else:
             assert np.linalg.norm(p.range_apply(y) - y) > 1e-3 * np.linalg.norm(y)
 
-    def test_stores_only_retained_eigenpairs(self):
-        # real field, m = 12 > n(n+1)/2 = 6: G has rank 6 < m, and only the
-        # eigenpairs above the cutoff are kept
-        m = 12
+    @pytest.mark.parametrize("m", [6, 12])
+    def test_range_projector_kept_only_when_singular(self, m):
+        # real field, n = 3: m = 6 = n(n+1)/2 gives a full-rank G and no
+        # G G^+; m = 12 gives rank 6 < m, and G G^+ is stored as an m x m
+        # matrix next to the m x m G^+
         e = sample_ensemble(3, m, REAL, seed=m)
         p = build_affine_projector(e, MeasurementVector(values=np.zeros(m)))
-        assert p.rank < m
-        assert p.eigvecs.shape == (m, p.rank)
-        assert p.inv_vals.shape == (p.rank,)
+        assert p.pinv.shape == (m, m)
+        if m == 6:
+            assert p.rank == m
+            assert p.range_proj is None
+        else:
+            assert p.rank == 6
+            assert p.range_proj.shape == (m, m)
 
     def test_nonfinite_rejected(self):
         e = ensemble_from_rows([[np.inf, 0.0]])
@@ -193,12 +200,15 @@ class TestProjectPsd:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50])
     def test_matches_phase_fixed_rebuild(self, n):
-        # V diag(w) V* does not depend on column phases: in the real field the
-        # phase is +-1 and the bits agree, in the complex field to rounding
+        # V diag(w) V* does not depend on column phases.  In the real field
+        # project_psd forms W W^T with syrk, so it is bitwise symmetric and
+        # agrees with the oracle to rounding; in the complex field to rounding
         rng = np.random.default_rng(47 + n)
         for _ in range(10):
             X = rand_hermitian(rng, n, REAL)
-            assert np.array_equal(project_psd(X), psd_phase_fixed_reference(X))
+            out, ref = project_psd(X), psd_phase_fixed_reference(X)
+            assert np.array_equal(out, out.T)
+            assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
             X = rand_hermitian(rng, n, COMPLEX)
             ref = psd_phase_fixed_reference(X)
             assert np.linalg.norm(project_psd(X) - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -213,6 +223,46 @@ class TestProjectPsd:
             B = rng.standard_normal((5, 5))
             Y = B @ B.T
             assert hs_inner(X - out, Y - out) <= 1e-8
+
+
+ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+class TestKernelOracles:
+    """The dense G^+, G G^+ and the W W* rebuild against direct formulas."""
+
+    @ORACLE
+    @given(instances())
+    def test_pinv_apply_matches_numpy_pinv(self, instance):
+        e, b = instance
+        p = build_affine_projector(e, b)
+        y = np.random.default_rng(e.m).standard_normal(e.m)
+        ref_pinv = np.linalg.pinv(p.gram, rcond=GRAM_CUTOFF, hermitian=True)
+        tol = 1e-12 * np.linalg.norm(ref_pinv) * np.linalg.norm(y)
+        assert np.linalg.norm(p.pinv_apply(y) - ref_pinv @ y) <= tol
+
+    @ORACLE
+    @given(instances())
+    def test_range_apply_matches_gram_times_pinv(self, instance):
+        # G (G^+ y) loses about cond(G) ulps; G G^+ itself is applied directly
+        e, b = instance
+        p = build_affine_projector(e, b)
+        y = np.random.default_rng(e.m).standard_normal(e.m)
+        ref = p.gram @ p.pinv_apply(y)
+        assert np.linalg.norm(p.range_apply(y) - ref) <= 1e-12 * p.cond * np.linalg.norm(y)
+        assert (p.range_apply(y) is y) == (p.rank == e.m)
+
+    @ORACLE
+    @given(instances(), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0]))
+    def test_project_psd_is_bitwise_hermitian(self, instance, seed, scale):
+        e, _ = instance
+        X = rand_hermitian(np.random.default_rng(seed), e.n, e.field, scale=scale)
+        out = project_psd(X)
+        if e.field == REAL:
+            assert out.dtype == np.float64
+            assert np.array_equal(out, out.T)
+        else:
+            assert np.array_equal(out, out.conj().T)
 
 
 class TestNonexpansive:

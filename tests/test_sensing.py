@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _utils import FIELDS, rand_hermitian, rand_unit, rand_vector
+from _utils import FIELDS, instances, rand_hermitian, rand_unit, rand_vector
 from phasefeas.linalg import COMPLEX, REAL, hs_inner
 from phasefeas.sensing import (
     MeasurementVector,
@@ -118,6 +119,19 @@ class TestLiftedOperators:
             rhs = hs_inner(X, apply_adjoint(e, lam))
             scale = max(1.0, abs(lhs))
             assert abs(lhs - rhs) <= 1e-10 * scale
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(instances(), st.integers(0, 2**32 - 1))
+    def test_lifted_matches_row_loop(self, instance, seed):
+        # oracle: one quadratic form per row; the bound is the size of
+        # each term, ||z_i||^2 ||X||_F
+        e, _ = instance
+        X = rand_hermitian(np.random.default_rng(seed), e.n, e.field)
+        oracle = np.array([np.vdot(z, X @ z).real for z in e.vectors])
+        scale = np.max(np.sum(np.abs(e.vectors) ** 2, axis=1)) * np.linalg.norm(X)
+        lifted = apply_lifted(e, X)
+        assert lifted.dtype == np.float64
+        assert np.max(np.abs(lifted - oracle)) <= 1e-13 * scale
 
 
 class TestSecondMomentOperator:
@@ -237,6 +251,12 @@ class TestAddNoise:
         b = MeasurementVector(values=np.ones(3))
         with pytest.raises(ValueError, match="finite number >= 0"):
             add_noise(b, eps, 1.0, seed=0)
+
+    @pytest.mark.parametrize("x0_norm", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0_norm(self, x0_norm):
+        b = MeasurementVector(values=np.ones(3))
+        with pytest.raises(ValueError, match="x0_norm must be a finite number"):
+            add_noise(b, 0.1, x0_norm, seed=0)
 
 
 def test_derive_seed_stable_and_disjoint():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _utils import FIELDS, rand_hermitian, rand_unit, rand_vector
+from _utils import FIELDS, instances, rand_hermitian, rand_unit
 from phasefeas import projections, solvers
 from phasefeas.harness import run_trial
 from phasefeas.linalg import dtype_for, hermitize
@@ -16,7 +16,6 @@ from phasefeas.projections import (
     vector_error_up_to_phase,
 )
 from phasefeas.sensing import (
-    SensingEnsemble,
     add_noise,
     apply_adjoint,
     apply_lifted,
@@ -383,13 +382,18 @@ class TestCallStructure:
         assert (counts["eig"], counts["eigh"]) == (0, 1)
 
     @pytest.mark.parametrize("iters", [1, 7])
-    def test_dr_step_is_one_psd_projection(self, counts, iters):
-        e, b, _ = setup_instance(5, 12, 8)
-        p = build_affine_projector(e, b)
-        counts["eigh"] = 0
-        solve_dr(p, e, SolverConfig(max_iters=iters, record_every=iters))
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
+    def test_step_is_one_psd_projection(self, counts, method, field, iters):
+        # per step one project_psd, one eig and one eigh; DR and POCS add
+        # the one eigh of the affine projector they build
+        rng = np.random.default_rng(8)
+        e = sample_ensemble(5, 12, field, seed=8)
+        b = measure(e, rand_unit(rng, 5, field))
+        solve(e, b, SolverConfig(method=method, max_iters=iters, record_every=iters, alpha=1e-3))
         assert counts["project_psd"] == [(1, 1)] * iters
-        assert (counts["eig"], counts["eigh"]) == (iters, iters)
+        assert counts["eig"] == iters
+        assert counts["eigh"] == iters + (method != "nesterov")
 
     @pytest.mark.parametrize("record_every", [1, 100])
     @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
@@ -417,25 +421,6 @@ class TestCallStructure:
         rng = np.random.default_rng(9)
         leading_eigenvector(rand_hermitian(rng, 5))
         assert (counts["eig"], counts["eigh"]) == (1, 1)
-
-
-@st.composite
-def instances(draw):
-    """Small random instances of both fields, noisy or exact, with m = 1,
-    m past n(n+1)/2 (a rank-deficient Gram matrix in the real field) and
-    repeated rows (a rank-deficient Gram matrix in either field)."""
-    field = draw(st.sampled_from(FIELDS))
-    n = draw(st.integers(1, 5))
-    dim = n * (n + 1) // 2
-    m = draw(st.one_of(st.just(1), st.integers(1, 2 * n + 2), st.integers(dim, dim + 5)))
-    repeats = draw(st.integers(0, min(m - 1, 3)))
-    eps = draw(st.sampled_from([0.0, 0.1]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = [rand_vector(rng, n, field) for _ in range(m - repeats)]
-    rows += [rows[int(rng.integers(len(rows)))] for _ in range(repeats)]
-    e = SensingEnsemble(n=n, m=m, field=field, vectors=np.array(rows))
-    b = add_noise(measure(e, rand_unit(rng, n, field)), eps, 1.0, seed=int(rng.integers(2**32)))
-    return e, b
 
 
 EQUIVALENCE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
