@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import REAL, check_anchor, project_T, schatten_norm
+from .linalg import REAL, check_anchor, hermitize, project_T, schatten_norm
 from .sensing import apply_adjoint
 
 Y_T_NUCLEAR_MAX = 0.5
@@ -56,24 +56,19 @@ class CertificateReport:
         return self.pass_y_t and self.pass_t_perp and self.pass_lambda
 
 
-def certificate_weights(e, anchor):
-    """Per-sample weights, before truncation."""
-    Z = e.vectors
-    corr = np.abs(Z.conj() @ anchor) ** 2
-    sq = np.sum(np.abs(Z) ** 2, axis=1)
-    if e.field == REAL:
-        return 3.0 / (e.n + 2) * sq - corr
-    return 4.0 / (e.n + 1) * sq - 2.0 * corr
-
-
-def truncation_mask(e, anchor, beta):
-    """1 on the kept samples; beta = inf keeps everything."""
-    if math.isinf(beta):
-        return np.ones(e.m, dtype=bool)
+def certificate_weights(e, anchor, beta=math.inf):
+    """Per-sample weights, zeroed outside the truncation events (none at beta = inf)."""
     Z = e.vectors
     corr = np.abs(Z.conj() @ anchor)
-    sq = np.sqrt(np.sum(np.abs(Z) ** 2, axis=1))
-    return (corr <= math.sqrt(2.0 * beta * math.log(e.n))) & (sq <= math.sqrt(3.0 * e.n))
+    sq = np.sum(np.abs(Z) ** 2, axis=1)
+    if e.field == REAL:
+        w = 3.0 / (e.n + 2) * sq - corr**2
+    else:
+        w = 4.0 / (e.n + 1) * sq - 2.0 * corr**2
+    if math.isinf(beta):
+        return w
+    keep = (corr <= math.sqrt(2.0 * beta * math.log(e.n))) & (np.sqrt(sq) <= math.sqrt(3.0 * e.n))
+    return keep * w
 
 
 def build_certificate(e, params):
@@ -85,7 +80,7 @@ def build_certificate(e, params):
         raise ValueError("certificate requires n >= 2 (log n degenerates the truncation event)")
     if not params.beta > 0:  # rejects nan and -inf too; +inf disables truncation
         raise ValueError(f"beta must be positive (inf disables truncation), got {params.beta}")
-    lam = truncation_mask(e, anchor, params.beta) * certificate_weights(e, anchor) / e.m
+    lam = certificate_weights(e, anchor, params.beta) / e.m
     return apply_adjoint(e, lam), lam
 
 
@@ -99,9 +94,7 @@ def check_certificate(Ybar, lam, anchor):
         raise ValueError("certificate check requires n >= 2")
     y_t_nuclear = schatten_norm(project_T(Ybar, anchor), 1)
     Q = _perp_basis(anchor)
-    block = Q.conj().T @ Ybar @ Q
-    block = (block + block.conj().T) / 2
-    eigs = np.linalg.eigvalsh(block)
+    eigs = np.linalg.eigvalsh(hermitize(Q.conj().T @ Ybar @ Q))
     t_perp_min_eig = float(eigs[0])
     t_perp_dev = float(np.max(np.abs(eigs - 2.0)))
     lam = np.asarray(lam)

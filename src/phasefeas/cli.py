@@ -85,15 +85,15 @@ def cmd_grid(args):
     spec = GridSpec(n_values=parse_range(args.n), m_values=parse_range(args.m),
                     trials=args.trials, eps=args.eps, solver=cfg,
                     master_seed=args.seed)
-    result = run_grid(spec, workers=args.threads or None)
     os.makedirs(args.out, exist_ok=True)
+    result = run_grid(spec, workers=args.threads or None)
     write_grid_csv(result, os.path.join(args.out, "grid.csv"))
     emit_heatmap(result, os.path.join(args.out, "heatmap.pgm"))
     return 0
 
 
 def cmd_converge(args):
-    run_convergence_study(args.n, args.m, [args.seed], args.out, iters=args.iters)
+    run_convergence_study(args.n, args.m, args.seed, args.out, iters=args.iters)
     return 0
 
 
@@ -148,8 +148,7 @@ def read_measurements(path, n):
     if not np.any(b > 0) and np.any(b < 0):
         raise ValueError(f"{path}: no positive measurement in b")
     Z = np.asarray(vectors)
-    e = SensingEnsemble(n=n, m=Z.shape[0], field=field, vectors=Z)
-    return e, MeasurementVector(values=b, epsilon=0.0)
+    return SensingEnsemble(field=field, vectors=Z), MeasurementVector(values=b)
 
 
 def cmd_solve(args):

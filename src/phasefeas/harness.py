@@ -244,27 +244,26 @@ CONVERGENCE_METHODS = (
 )
 
 
-def run_convergence_study(n, m, seeds, out_dir, iters=1000):
+def run_convergence_study(n, m, seed, out_dir, iters=1000):
     """Noiseless and eps=0.1 traces for the three reference iterations.
 
-    Writes `{method}_{eps}.csv` per combination (six files per seed); with
-    several seeds each seed gets its own `seed<S>/` subdirectory.
+    Writes `{method}_{eps}.csv` per combination, six files in `out_dir`,
+    which is created only once the configs and the instance are accepted.
     """
+    configs = [(name, replace(base, max_iters=iters)) for name, base in CONVERGENCE_METHODS]
+    x0 = sample_unit_sphere(n, derive_seed(seed, 0))
+    e = sample_ensemble(n, m, REAL, derive_seed(seed, 1))
+    b = measure(e, x0)
+    X0 = np.outer(x0, x0)
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for seed in seeds:
-        target = out_dir if len(seeds) == 1 else os.path.join(out_dir, f"seed{seed}")
-        os.makedirs(target, exist_ok=True)
-        x0 = sample_unit_sphere(n, derive_seed(seed, 0))
-        e = sample_ensemble(n, m, REAL, derive_seed(seed, 1))
-        X0 = np.outer(x0, x0)
-        for eps in (0.0, 0.1):
-            b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(seed, 2))
-            for name, base in CONVERGENCE_METHODS:
-                trace = solve(e, b, replace(base, max_iters=iters), X0_true=X0)
-                path = os.path.join(target, f"{name}_{eps:g}.csv")
-                write_trace_csv(trace, path)
-                written.append(path)
+    for eps in (0.0, 0.1):
+        b_eps = add_noise(b, eps, 1.0, seed=derive_seed(seed, 2))
+        for name, cfg in configs:
+            trace = solve(e, b_eps, cfg, X0_true=X0)
+            path = os.path.join(out_dir, f"{name}_{eps:g}.csv")
+            write_trace_csv(trace, path)
+            written.append(path)
     return written
 
 
@@ -272,7 +271,6 @@ def run_certify_study(n, m, beta, seeds, seed, out_dir):
     """Certificate checks for `seeds` ensembles -> certificates.csv + summary.txt."""
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for k in range(seeds):
         seed_k = derive_seed(seed, k)
@@ -280,6 +278,7 @@ def run_certify_study(n, m, beta, seeds, seed, out_dir):
         e = sample_ensemble(n, m, REAL, derive_seed(seed_k, 1))
         Y, lam = build_certificate(e, CertificateParams(anchor=anchor, beta=beta))
         rows.append((k, seed_k, check_certificate(Y, lam, anchor)))
+    os.makedirs(out_dir, exist_ok=True)  # only now, so a rejected input writes nothing
     with open(os.path.join(out_dir, "certificates.csv"), "w") as fh:
         fh.write("trial,seed,y_t_nuclear,t_perp_min_eig,t_perp_dev,lambda_l1,"
                  "truncation_rate,pass_y_t,pass_t_perp,pass_lambda\n")

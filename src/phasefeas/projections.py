@@ -58,8 +58,7 @@ def build_affine_projector(e, b):
     if b.values.shape != (e.m,):
         raise ValueError(f"dimension mismatch: b has shape {b.values.shape}, ensemble m={e.m}")
     inner = e.vectors.conj() @ e.vectors.T
-    gram = np.abs(inner) ** 2
-    gram = (gram + gram.T) / 2
+    gram = hermitize(np.abs(inner) ** 2)
     if not np.all(np.isfinite(gram)):
         raise ValueError("non-finite entries in Gram matrix")
     try:

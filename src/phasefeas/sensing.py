@@ -6,11 +6,12 @@ An ensemble holds m sensing vectors z_i (rows of a (m, n) array).  It defines
 * its lifted linear version         L(X)_i   = z_i* X z_i,
 * the adjoint                       L*(lam)  = sum_i lam_i z_i z_i*,
 
-plus the closed-form second-moment operator of the sampling law and its
-inverse, used by the dual-certificate construction.  The lifted map is one
-matrix product, conj(Z) X, then one `np.einsum` row reduction against Z,
-whose real part is L(X).  For a real Z the conjugate and the real part
-return the arrays themselves, not copies.
+plus the closed-form second-moment operator S of the sampling law and its
+inverse.  The dual certificate writes its weights z_i* S^{-1}(2(I - x0 x0*)) z_i
+out in closed form instead of calling them.  The lifted map is one matrix
+product, conj(Z) X, then one `np.einsum` row reduction against Z, whose real
+part is L(X).  For a real Z the conjugate and the real part return the
+arrays themselves, not copies.
 
 Randomness is PCG64 (numpy default_rng) throughout; sub-streams are derived
 by keyed SeedSequence so regeneration from (n, m, field, seed) is bit-exact
@@ -18,7 +19,7 @@ and parallel trials draw from disjoint streams.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +38,21 @@ def derive_seed(master, *keys):
 
 @dataclass(frozen=True)
 class SensingEnsemble:
-    n: int
-    m: int
     field: str
     vectors: np.ndarray  # (m, n), row i is z_i
+
+    @property
+    def m(self):
+        return self.vectors.shape[0]
+
+    @property
+    def n(self):
+        return self.vectors.shape[1]
 
 
 @dataclass(frozen=True)
 class MeasurementVector:
     values: np.ndarray   # (m,) real
-    epsilon: float = 0.0  # declared noise level, 0 for exact data
 
 
 def sample_ensemble(n, m, field=REAL, seed=0):
@@ -62,16 +68,16 @@ def sample_ensemble(n, m, field=REAL, seed=0):
     Z = rng.standard_normal((m, n))
     if field == COMPLEX:
         Z = Z + 1j * rng.standard_normal((m, n))
-    return SensingEnsemble(n=n, m=m, field=field, vectors=Z)
+    return SensingEnsemble(field=field, vectors=Z)
 
 
 def measure(e, x):
-    """Phaseless measurements A(x)_i = |<x, z_i>|^2 (exact, epsilon = 0)."""
+    """Exact phaseless measurements A(x)_i = |<x, z_i>|^2."""
     x = np.asarray(x)
     if x.shape != (e.n,):
         raise ValueError(f"dimension mismatch: x has shape {x.shape}, ensemble n={e.n}")
     inner = e.vectors.conj() @ x
-    return MeasurementVector(values=np.abs(inner) ** 2, epsilon=0.0)
+    return MeasurementVector(values=np.abs(inner) ** 2)
 
 
 def apply_lifted(e, X):
@@ -118,17 +124,16 @@ def add_noise(b, eps, x0_norm, seed=0):
     """Add a Gaussian noise vector rescaled to ||nu||_2 = eps * x0_norm^2.
 
     The noise saturates the feasibility radius exactly, which keeps the
-    stability experiments tight and reproducible.  eps = 0 returns the input
-    values unchanged (epsilon field reset to 0).
+    stability experiments tight and reproducible.  eps = 0 returns b itself.
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
     if not math.isfinite(x0_norm):
         raise ValueError(f"x0_norm must be a finite number, got {x0_norm!r}")
     if eps == 0:
-        return replace(b, epsilon=0.0)
+        return b
     rng = np.random.default_rng(seed)
     nu = rng.standard_normal(b.values.shape[0])
     nu *= eps * x0_norm**2 / np.linalg.norm(nu)
-    return MeasurementVector(values=b.values + nu, epsilon=float(eps))
+    return MeasurementVector(values=b.values + nu)
 

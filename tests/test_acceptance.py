@@ -234,7 +234,7 @@ def decreasing_range_fit(errs):
 
 def convergence_shape_failures(n, m, seed, tmp_path):
     eps = 0.1
-    paths = run_convergence_study(n, m, [seed], tmp_path, iters=1000)
+    paths = run_convergence_study(n, m, seed, tmp_path, iters=1000)
     assert len(paths) == 6
     failures = []
 

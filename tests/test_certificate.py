@@ -37,7 +37,7 @@ class TestBuildCertificate:
         n = 4
         Z = np.zeros((1, n))
         Z[0, 0] = 1.0
-        e = SensingEnsemble(n=n, m=1, field=REAL, vectors=Z)
+        e = SensingEnsemble(field=REAL, vectors=Z)
         Y, lam = build_certificate(e, CertificateParams(anchor=e1(n), beta=1.0))
         w = 3.0 / (n + 2) - 1.0
         assert lam[0] == pytest.approx(w)
@@ -67,7 +67,7 @@ class TestBuildCertificate:
         if field == COMPLEX:
             A = A + 1j * rng.standard_normal((n, n))
         Q, _ = np.linalg.qr(A)
-        rotated = SensingEnsemble(n=n, m=m, field=field, vectors=e.vectors @ Q.T)
+        rotated = SensingEnsemble(field=field, vectors=e.vectors @ Q.T)
         x0 = e1(n, field)
         Y_base, lam_base = build_certificate(e, CertificateParams(anchor=x0, beta=1.0))
         Y_rot, lam_rot = build_certificate(rotated, CertificateParams(anchor=Q @ x0, beta=1.0))
@@ -92,6 +92,49 @@ class TestBuildCertificate:
         e = sample_ensemble(4, 5, seed=0)
         with pytest.raises(ValueError, match="beta must be positive"):
             build_certificate(e, CertificateParams(anchor=e1(4), beta=beta))
+
+
+class TestTruncationEvents:
+    # E_i = {|<z_i, a>| <= sqrt(2 beta ln n)} and {||z_i|| <= sqrt(3n)};
+    # beta = inf disables both clauses
+    @staticmethod
+    def removed(e, anchor, beta):
+        if math.isinf(beta):
+            return np.zeros(e.m, dtype=bool)
+        corr = np.abs(e.vectors.conj() @ anchor)
+        norms = np.linalg.norm(e.vectors, axis=1)
+        return (corr > math.sqrt(2 * beta * math.log(e.n))) | (norms > math.sqrt(3 * e.n))
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_exactly_on_the_removed_samples(self, field, beta):
+        n, m = 6, 400
+        e = sample_ensemble(n, m, field, seed=21)
+        anchor = rand_unit(np.random.default_rng(22), n, field)
+        _, lam = build_certificate(e, CertificateParams(anchor=anchor, beta=beta))
+        cut = self.removed(e, anchor, beta)
+        assert cut.any() != math.isinf(beta)
+        assert np.array_equal(lam == 0.0, cut)
+        w = certificate_weights(e, anchor)
+        assert np.array_equal(lam[~cut], w[~cut] / m)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_each_clause_alone_removes_a_sample(self, field):
+        # n = 4, beta = 1: |<z, e1>| <= 1.665 and ||z|| <= 3.464
+        i = 1j if field == COMPLEX else 1.0
+        Z = np.array([
+            [2 * i, 0, 0, 0],  # |<z, e1>| = 2: the correlation clause, ||z|| = 2
+            [0, 3, 3 * i, 0],  # ||z|| = sqrt(18): the norm clause, <z, e1> = 0
+            [1, i, 1, 0],      # kept
+        ], dtype=complex if field == COMPLEX else float)
+        e = SensingEnsemble(field=field, vectors=Z)
+        anchor = e1(4, field)
+        w = certificate_weights(e, anchor)
+        assert np.all(w != 0.0)
+        _, lam = build_certificate(e, CertificateParams(anchor=anchor, beta=1.0))
+        assert np.array_equal(lam, np.array([0.0, 0.0, w[2] / 3]))
+        _, lam_inf = build_certificate(e, CertificateParams(anchor=anchor, beta=math.inf))
+        assert np.array_equal(lam_inf, w / 3)
 
 
 class TestCheckCertificate:

@@ -92,6 +92,18 @@ class TestGridCommand:
         assert "n and m must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_is_a_file_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert main(["--threads", "1", "grid", "--n", "2", "--m", "6", "--trials", "1",
+                     "--iters", "5", "--out", str(out)]) == 2
+        assert "taken" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
     def test_heatmap_is_valid_pgm(self, tmp_path):
         out = tmp_path / "g"
         assert main(["--threads", "1", "grid", "--n", "2", "--m", "6:9:3",
@@ -139,8 +151,7 @@ class TestCertifyCommand:
         assert main(["certify", "--n", "6", "--m", "120", f"--beta={beta}", "--seeds", "2",
                      "--out", str(out)]) == 2
         assert "beta must be positive" in capsys.readouterr().err
-        assert not (out / "certificates.csv").exists()
-        assert not (out / "summary.txt").exists()
+        assert not out.exists()
 
 
 class TestSolveCommand:
@@ -246,6 +257,20 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "taken" in err
         assert out.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "1", "--m", "6", "--seeds", "1"],
+    ["certify", "--n", "4", "--m", "0", "--seeds", "1"],
+    ["certify", "--n", "4", "--m", "6", "--beta", "nan", "--seeds", "1"],
+    ["converge", "--n", "2", "--m", "6", "--iters", "0"],
+    ["converge", "--n", "0", "--m", "6", "--iters", "5"],
+], ids=["certify-n1", "certify-m0", "certify-beta-nan", "converge-iters0", "converge-n0"])
+def test_rejected_input_creates_no_out_dir(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 class TestReadMeasurements:

@@ -265,7 +265,7 @@ class TestGridMonotonicity:
 
 class TestConvergenceStudy:
     def test_six_files_and_shapes(self, tmp_path):
-        paths = run_convergence_study(10, 60, [4], tmp_path, iters=400)
+        paths = run_convergence_study(10, 60, 4, tmp_path, iters=400)
         assert len(paths) == 6
         names = sorted(p.split("/")[-1] for p in paths)
         assert names == sorted([
@@ -282,9 +282,3 @@ class TestConvergenceStudy:
         assert final_error("dr_0.csv") <= 1e-3
         # the trace-penalized run plateaus strictly above the DR floor
         assert final_error("nesterov_trace_0.csv") > final_error("dr_0.csv")
-
-    def test_multi_seed_layout(self, tmp_path):
-        paths = run_convergence_study(4, 10, [1, 2], tmp_path, iters=20)
-        assert len(paths) == 12
-        assert (tmp_path / "seed1" / "dr_0.csv").exists()
-        assert (tmp_path / "seed2" / "nesterov_0.1.csv").exists()

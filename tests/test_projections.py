@@ -24,7 +24,7 @@ from phasefeas.sensing import (
 
 def ensemble_from_rows(rows, field=REAL):
     Z = np.asarray(rows, dtype=complex if field == COMPLEX else float)
-    return SensingEnsemble(n=Z.shape[1], m=Z.shape[0], field=field, vectors=Z)
+    return SensingEnsemble(field=field, vectors=Z)
 
 
 def psd_phase_fixed_reference(X):

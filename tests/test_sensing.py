@@ -52,7 +52,6 @@ class TestMeasure:
         e.vectors[0] = [1.0, 0.0]
         b = measure(e, np.array([1.0, 0.0]))
         assert b.values[0] == pytest.approx(1.0)
-        assert b.epsilon == 0.0
 
     def test_zero_vector(self):
         e = sample_ensemble(4, 6, REAL, seed=3)
@@ -225,7 +224,7 @@ class TestMomentOracles:
 
 class TestAddNoise:
     def test_zero_eps(self):
-        b = MeasurementVector(values=np.array([1.0, 2.0]), epsilon=0.0)
+        b = MeasurementVector(values=np.array([1.0, 2.0]))
         out = add_noise(b, 0.0, 1.0, seed=0)
         assert np.array_equal(out.values, b.values)
 
@@ -233,7 +232,6 @@ class TestAddNoise:
         b = MeasurementVector(values=np.zeros(50))
         out = add_noise(b, 0.1, 2.0, seed=1)
         assert np.linalg.norm(out.values - b.values) == pytest.approx(0.1 * 4.0, abs=1e-12)
-        assert out.epsilon == 0.1
 
     def test_deterministic(self):
         b = MeasurementVector(values=np.zeros(20))
