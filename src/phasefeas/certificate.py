@@ -19,6 +19,8 @@ alongside, since its l1 norm is what the stability argument controls.
 Uniqueness holds when the certificate is small on the tangent space T and
 uniformly positive on its complement; ``check_certificate`` measures exactly
 those quantities and compares them against the fixed thresholds 1/2, 1, 5.
+``build_certificate`` returns Ybar exactly as ``apply_adjoint`` forms it,
+Hermitian up to rounding; ``check_certificate`` symmetrizes it on entry.
 """
 
 import math
@@ -85,13 +87,18 @@ def build_certificate(e, params):
 
 
 def check_certificate(Ybar, lam, anchor):
-    """Measure the certificate against the fixed uniqueness thresholds."""
+    """Measure the certificate against the fixed uniqueness thresholds.
+
+    Ybar is symmetrized on entry, so Ybar and hermitize(Ybar) give the same
+    report bit for bit; `apply_adjoint` is Hermitian only up to rounding.
+    """
     anchor = check_anchor(anchor)
     n = anchor.shape[0]
     if Ybar.shape != (n, n):
         raise ValueError(f"dimension mismatch: Ybar {Ybar.shape} vs anchor n={n}")
     if n < 2:
         raise ValueError("certificate check requires n >= 2")
+    Ybar = hermitize(Ybar)
     y_t_nuclear = schatten_norm(project_T(Ybar, anchor), 1)
     Q = _perp_basis(anchor)
     eigs = np.linalg.eigvalsh(hermitize(Q.conj().T @ Ybar @ Q))

@@ -12,12 +12,15 @@ instance, and the dense m x m matrices G^+ (and G G^+, when G is singular)
 are formed from that factorization, so each solver iteration applies either
 with one matrix-vector product.  The correction L*(G^+ r) for a lifted
 residual r is `affine_correction`; the solvers call it with a residual they
-already hold, so they need not lift X again.
+already hold, so they need not lift X again.  Like the adjoint it comes
+from, the correction is Hermitian only up to rounding; `project_affine`
+symmetrizes its result.
 
 The PSD projection rebuilds its output from the square-root factor
 W = V_+ diag(lambda_+)^{1/2} as W W*.  For a real W, numpy computes W @ W.T
 with BLAS `syrk`: half the flops of a general product, and the result is
-symmetric bit for bit.
+symmetric bit for bit; a complex W W* is symmetrized in place.  Its input
+need not be exactly Hermitian: `eigh` reads only the lower triangle.
 """
 
 from dataclasses import dataclass
@@ -32,7 +35,6 @@ GRAM_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class AffineProjector:
-    gram: np.ndarray         # (m, m) real symmetric PSD
     pinv: np.ndarray         # (m, m) G^+, zero on the eigenvectors below the cutoff
     range_proj: np.ndarray | None  # (m, m) G G^+ when rank < m; None at full rank
     rank: int                # eigenvalues of G above the cutoff
@@ -72,14 +74,14 @@ def build_affine_projector(e, b):
     rank = int(np.count_nonzero(vals > GRAM_CUTOFF * vmax))
     V = vecs[:, :rank]
     range_proj = V @ V.T if rank < e.m else None
-    return AffineProjector(gram=gram, pinv=(V / vals[:rank]) @ V.T, range_proj=range_proj,
-                           rank=rank, cond=vmax / float(vals[rank - 1]), b=b)
+    return AffineProjector(pinv=(V / vals[:rank]) @ V.T, range_proj=range_proj, rank=rank,
+                           cond=vmax / float(vals[rank - 1]), b=b)
 
 
 def affine_correction(p, e, r):
     """L*(G^+ r): X minus this is the affine projection of X when r = L(X) - b.
 
-    The result is exactly Hermitian, and L of it is `p.range_apply(r)`.
+    The result is Hermitian up to rounding, and L of it is `p.range_apply(r)`.
     """
     return apply_adjoint(e, p.pinv_apply(r))
 
@@ -93,17 +95,21 @@ def project_affine(p, e, X):
 def project_psd(X):
     """Nearest positive semidefinite matrix: clamp negative eigenvalues to 0.
 
-    Rebuilt as W W* from the r positive eigenpairs only (values are
-    descending), W = V_r diag(lambda_r)^{1/2}, so the product costs about
-    n*n*r/2 (real, `syrk`) instead of n^3; r = 0 gives exact zeros.  A real
-    W W* is already exactly symmetric; a complex one is made exactly
-    Hermitian.
+    Reads the lower triangle of X only, as `eigh` does.  Rebuilt as W W*
+    from the r positive eigenpairs only (values are descending),
+    W = V_r diag(lambda_r)^{1/2}, so the product costs about n*n*r/2 (real,
+    `syrk`) instead of n^3; r = 0 gives exact zeros.  A real W W* is already
+    exactly symmetric; a complex one is made exactly Hermitian in place,
+    bit for bit as `hermitize` would.
     """
     d = eig(X)
     r = int(np.count_nonzero(d.values > 0))
     W = d.vectors[:, :r] * np.sqrt(d.values[:r])
     out = W @ W.conj().T
-    return hermitize(out) if np.iscomplexobj(out) else out
+    if np.iscomplexobj(out):
+        out += out.conj().T
+        out *= 0.5
+    return out
 
 
 def leading_eigenvector(X):

@@ -8,10 +8,22 @@ An ensemble holds m sensing vectors z_i (rows of a (m, n) array).  It defines
 
 plus the closed-form second-moment operator S of the sampling law and its
 inverse.  The dual certificate writes its weights z_i* S^{-1}(2(I - x0 x0*)) z_i
-out in closed form instead of calling them.  The lifted map is one matrix
-product, conj(Z) X, then one `np.einsum` row reduction against Z, whose real
-part is L(X).  For a real Z the conjugate and the real part return the
-arrays themselves, not copies.
+out in closed form instead of calling them.
+
+The lifted map is one matrix product U = Z X^T, with U_ik = (X z_i)_k, then
+one `np.einsum` row reduction of U against Z read as float64 arrays: a
+complex128 (m, n) array is read as an (m, 2n) float64 view of its
+interleaved real and imaginary parts, so the row sum is
+sum_k Re((X z_i)_k conj(z_ik)) = Re(z_i* X z_i), for any square X.  No
+conjugate of Z is copied and no imaginary part is formed; in the real field
+the views are the arrays themselves, so one expression serves both fields.
+Only a complex X on a real ensemble (or rows that are not contiguous) makes
+a copy of Z, in U's dtype; the result is still Re(z_i* X z_i).
+The adjoint is one matrix product (Z^T diag(lam)) conj(Z).  It is Hermitian
+only up to rounding: the layers that need exact symmetry symmetrize it
+themselves (the affine projection, the POCS step and the certificate
+check), and the DR and Nesterov steps hand it to `eigh`, which reads one
+triangle.
 
 Randomness is PCG64 (numpy default_rng) throughout; sub-streams are derived
 by keyed SeedSequence so regeneration from (n, m, field, seed) is bit-exact
@@ -23,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import COMPLEX, REAL, check_field, hermitize, require_square
+from .linalg import COMPLEX, REAL, check_field, require_square
 
 
 def derive_seed(master, *keys):
@@ -81,20 +93,31 @@ def measure(e, x):
 
 
 def apply_lifted(e, X):
-    """Lifted linear measurements {z_i* X z_i}_i, real for Hermitian X."""
+    """Lifted linear measurements {Re(z_i* X z_i)}_i, for any square X.
+
+    For Hermitian X these are z_i* X z_i.  A real X on a complex ensemble
+    and a complex X on a real ensemble are both read in the wider dtype.
+    """
     X = require_square(X)
     if X.shape[0] != e.n:
         raise ValueError(f"dimension mismatch: X is {X.shape}, ensemble n={e.n}")
-    Z = e.vectors
-    return np.einsum("ij,ij->i", Z.conj() @ X, Z).real
+    U = e.vectors @ X.T
+    # the views need Z in U's dtype and C-contiguous; a sampled Z already is
+    Z = np.ascontiguousarray(e.vectors, dtype=U.dtype)
+    part = U.real.dtype
+    return np.einsum("ij,ij->i", U.view(part), Z.view(part))
 
 
 def apply_adjoint(e, lam):
-    """Adjoint of the lifted map: sum_i lam_i z_i z_i*, a Hermitian matrix."""
+    """Adjoint of the lifted map: sum_i lam_i z_i z_i*.
+
+    Hermitian only up to rounding: entries (j, k) and (k, j) may differ in
+    the last bits.  Callers that need exact symmetry apply `hermitize`.
+    """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (e.m,):
         raise ValueError(f"dimension mismatch: lam has shape {lam.shape}, ensemble m={e.m}")
-    return hermitize((e.vectors.T * lam) @ e.vectors.conj())
+    return (e.vectors.T * lam) @ e.vectors.conj()
 
 
 def s_apply(X, field=REAL):

@@ -10,10 +10,13 @@ picks one by ``cfg.method``:
 
 All start from X = Y = 0; only DR and POCS take a warm start ``X_start``.
 All run exactly ``cfg.max_iters`` steps.  Iterates are PSD after every step
-by construction (the last operation applied is always the PSD projection).
-Recovery error is recorded only when the ground truth is supplied; the
-feasibility residual ||L(X) - b||_2 / ||b||_2 is always recorded, along
-with tr(X).
+by construction (the last operation applied is always the PSD projection),
+and exactly Hermitian, since `project_psd` returns them so.  The matrix a
+DR or Nesterov step hands to `project_psd` carries the adjoint's rounding
+asymmetry, which `eigh` never reads; POCS symmetrizes its affine point, so
+that it is bit for bit the textbook `P_psd(P_aff(X))`.  Recovery error is
+recorded only when the ground truth is supplied; the feasibility residual
+||L(X) - b||_2 / ||b||_2 is always recorded, along with tr(X).
 
 Each step lifts its new iterate once and hands L(X_k) on, both to the trace
 and to the next step, which gets every other lifted vector it needs by
@@ -122,7 +125,9 @@ def _iterate(b, cfg, X0_true, X, lX, step):
     iterate.  Records iteration 0, every `record_every`-th iteration and the
     last iteration, each once, with the residual taken from the lifted vector
     the step returned; the recovery error divides by ||X0_true||_F, computed
-    once.
+    once.  A record takes one Frobenius norm and no finiteness scan of X:
+    every X after iteration 0 comes out of `project_psd`, whose `eig`
+    rejects a non-finite input, and a non-finite residual or trace raises.
     An exception raised by a step is re-raised as RuntimeError("iteration k: ...").
     """
     b_norm = float(np.linalg.norm(b.values))
@@ -134,9 +139,9 @@ def _iterate(b, cfg, X0_true, X, lX, step):
     trace = SolverTrace()
 
     def record(k, X, lX):
-        err = schatten_norm(X - X0_true, 2) / x0_norm if X0_true is not None else math.nan
+        err = float(np.linalg.norm(X - X0_true) / x0_norm) if X0_true is not None else math.nan
         res = _relative_residual(lX, b, b_norm)
-        tr = float(np.real(np.trace(X)))
+        tr = float(X.trace().real)
         if not (math.isfinite(res) and math.isfinite(tr)):
             raise RuntimeError(f"non-finite iterate at iteration {k}")
         trace.points.append(TracePoint(k, err, res, tr))
@@ -173,7 +178,9 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
 
     def step(X, lX):
         nonlocal Y, lY
-        r = 2 * lX - lY - p.b.values
+        r = 2 * lX
+        r -= lY
+        r -= p.b.values
         Y = X - affine_correction(p, e, r)
         lY = lX - p.range_apply(r)
         X_new = project_psd(Y)
@@ -185,13 +192,14 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
 def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
     """Alternating projections X_{k} = P_psd(P_aff(X_{k-1})).
 
-    P_aff(X) = X - L*(G^+ (L(X) - b)) takes L(X) from the previous step.
+    P_aff(X) = hermitize(X - L*(G^+ (L(X) - b))) takes L(X) from the previous
+    step; it is `project_affine` bit for bit.
     """
     _check_method(cfg, POCS)
     X = _init_state(e.n, dtype_for(e.field), X_start)
 
     def step(X, lX):
-        X_new = project_psd(X - affine_correction(p, e, lX - p.b.values))
+        X_new = project_psd(hermitize(X - affine_correction(p, e, lX - p.b.values)))
         return X_new, apply_lifted(e, X_new)
 
     return _iterate(p.b, cfg, X0_true, X, apply_lifted(e, X), step)
@@ -206,23 +214,23 @@ def solve_nesterov(e, b, cfg, X0_true=None):
     Y_k     = X_k + beta_k (X_k - X_{k-1}),
 
     with grad g(X) = L*(L(X) - b) + lambda I and L(Y_k) taken by linearity
-    from L(X_k) and L(X_{k-1}).  Aborts when the feasibility residual
-    exceeds 1e6 (step size too large).  The guard checks every step, not
-    only recorded ones.
+    from L(X_k) and L(X_{k-1}).  The step subtracts alpha lambda from the
+    diagonal of Y - alpha L*(L(Y) - b) in place.  Aborts when the
+    feasibility residual exceeds 1e6 (step size too large).  The guard
+    checks every step, not only recorded ones.
     """
     _check_method(cfg, NESTEROV)
-    dtype = dtype_for(e.field)
-    X = np.zeros((e.n, e.n), dtype=dtype)
+    X = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
     Y, lX = X.copy(), apply_lifted(e, X)
     lY = lX
-    shift = cfg.lambda_trace * np.eye(e.n, dtype=dtype)
     theta = 1.0
     b_norm = float(np.linalg.norm(b.values))
 
     def step(X, lX):
         nonlocal Y, lY, theta
-        grad = apply_adjoint(e, lY - b.values) + shift
-        X_new = project_psd(Y - cfg.alpha * grad)
+        V = Y - cfg.alpha * apply_adjoint(e, lY - b.values)
+        V.flat[:: e.n + 1] -= cfg.alpha * cfg.lambda_trace
+        X_new = project_psd(V)
         lX_new = apply_lifted(e, X_new)
         res = _relative_residual(lX_new, b, b_norm)
         if not math.isfinite(res) or res > DIVERGENCE_LIMIT:

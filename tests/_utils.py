@@ -45,6 +45,21 @@ def eig_loop_reference(X):
     return values, vectors
 
 
+def gram_matrix(e):
+    """G_ij = |<z_i, z_j>|^2, formed as `build_affine_projector` forms it."""
+    return hermitize(np.abs(e.vectors.conj() @ e.vectors.T) ** 2)
+
+
+def lifted_matrix(e):
+    """The explicit m x n^2 matrix A of the lifted map: A @ X.ravel() = z_i* X z_i.
+
+    Row i is conj(z_i) z_i^T read in C order, so L*(lam) is
+    (A^H lam).reshape(n, n) and G = A A^H.
+    """
+    Z = e.vectors
+    return np.einsum("ij,ik->ijk", Z.conj(), Z).reshape(e.m, e.n * e.n)
+
+
 @st.composite
 def instances(draw):
     """Small random instances of both fields, noisy or exact, with m = 1,

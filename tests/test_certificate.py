@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -138,6 +139,18 @@ class TestTruncationEvents:
 
 
 class TestCheckCertificate:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_report_reads_the_hermitian_part(self, field, beta):
+        # Ybar = L*(lam) is Hermitian only up to rounding; the check
+        # symmetrizes it, so Ybar and hermitize(Ybar) give the same report
+        e = sample_ensemble(6, 200, field, seed=12)
+        anchor = rand_unit(np.random.default_rng(12), 6, field)
+        Y, lam = build_certificate(e, CertificateParams(anchor=anchor, beta=beta))
+        assert not np.array_equal(Y, Y.conj().T)
+        reports = [check_certificate(M, lam, anchor) for M in (Y, hermitize(Y))]
+        assert repr(astuple(reports[0])) == repr(astuple(reports[1]))
+
     def test_exact_limit_certificate(self):
         n = 6
         x0 = e1(n)

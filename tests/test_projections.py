@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _utils import FIELDS, eig_loop_reference, instances, rand_hermitian, rand_unit
+from _utils import (
+    FIELDS,
+    eig_loop_reference,
+    gram_matrix,
+    instances,
+    lifted_matrix,
+    rand_hermitian,
+    rand_unit,
+)
 from phasefeas.linalg import COMPLEX, REAL, hermitize, hs_inner, schatten_norm
 from phasefeas.projections import (
     GRAM_CUTOFF,
@@ -48,12 +58,12 @@ class TestBuildAffineProjector:
     def test_hand_gram(self):
         e = ensemble_from_rows([[1.0, 0.0], [1.0, 1.0]])
         p = build_affine_projector(e, MeasurementVector(values=np.zeros(2)))
-        assert np.allclose(p.gram, [[1.0, 1.0], [1.0, 4.0]])
+        assert np.allclose(gram_matrix(e), [[1.0, 1.0], [1.0, 4.0]])
 
     def test_orthogonal_rows(self):
         e = ensemble_from_rows([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
         p = build_affine_projector(e, MeasurementVector(values=np.zeros(2)))
-        assert np.allclose(p.gram, np.diag([16.0, 81.0]))
+        assert np.allclose(gram_matrix(e), np.diag([16.0, 81.0]))
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_gram_matches_hs_inner(self, field):
@@ -63,14 +73,14 @@ class TestBuildAffineProjector:
             for j in range(6):
                 zi, zj = e.vectors[i], e.vectors[j]
                 ref = hs_inner(np.outer(zi, zi.conj()), np.outer(zj, zj.conj()))
-                assert abs(p.gram[i, j] - ref) <= 1e-12 * max(1.0, abs(ref))
+                assert abs(gram_matrix(e)[i, j] - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_pinv_recovers_row_space(self):
         e = sample_ensemble(5, 8, REAL, seed=2)
         p = build_affine_projector(e, MeasurementVector(values=np.zeros(8)))
         rng = np.random.default_rng(2)
-        y = p.gram @ rng.standard_normal(8)  # in the row space by construction
-        back = p.gram @ p.pinv_apply(y)
+        y = gram_matrix(e) @ rng.standard_normal(8)  # in the row space by construction
+        back = gram_matrix(e) @ p.pinv_apply(y)
         assert np.linalg.norm(back - y) <= 1e-8 * max(1.0, np.linalg.norm(y))
 
     @pytest.mark.parametrize("field", FIELDS)
@@ -83,7 +93,7 @@ class TestBuildAffineProjector:
             e = ensemble_from_rows(np.vstack([e.vectors[:-1], e.vectors[:1]]), field)
         p = build_affine_projector(e, MeasurementVector(values=np.zeros(m)))
         y = np.random.default_rng(m).standard_normal(m)
-        ref = p.gram @ p.pinv_apply(y)
+        ref = gram_matrix(e) @ p.pinv_apply(y)
         assert np.linalg.norm(p.range_apply(y) - ref) <= 1e-8 * np.linalg.norm(y)
         if p.rank == m:
             assert p.range_apply(y) is y
@@ -237,7 +247,7 @@ class TestKernelOracles:
         e, b = instance
         p = build_affine_projector(e, b)
         y = np.random.default_rng(e.m).standard_normal(e.m)
-        ref_pinv = np.linalg.pinv(p.gram, rcond=GRAM_CUTOFF, hermitian=True)
+        ref_pinv = np.linalg.pinv(gram_matrix(e), rcond=GRAM_CUTOFF, hermitian=True)
         tol = 1e-12 * np.linalg.norm(ref_pinv) * np.linalg.norm(y)
         assert np.linalg.norm(p.pinv_apply(y) - ref_pinv @ y) <= tol
 
@@ -248,9 +258,25 @@ class TestKernelOracles:
         e, b = instance
         p = build_affine_projector(e, b)
         y = np.random.default_rng(e.m).standard_normal(e.m)
-        ref = p.gram @ p.pinv_apply(y)
+        ref = gram_matrix(e) @ p.pinv_apply(y)
         assert np.linalg.norm(p.range_apply(y) - ref) <= 1e-12 * p.cond * np.linalg.norm(y)
         assert (p.range_apply(y) is y) == (p.rank == e.m)
+
+    @ORACLE
+    @given(instances(), st.integers(0, 2**32 - 1))
+    def test_project_affine_matches_lstsq(self, instance, seed):
+        # X minus the minimum-norm least-squares solution D of
+        # A vec(D) = L(X) - b, where A is the explicit lifted matrix and its
+        # singular values below sqrt(GRAM_CUTOFF) of the largest count as zero;
+        # the error grows with cond(G)
+        e, b = instance
+        p = build_affine_projector(e, b)
+        X = rand_hermitian(np.random.default_rng(seed), e.n, e.field)
+        A = lifted_matrix(e)
+        r = (A @ X.ravel()).real - b.values
+        D = np.linalg.lstsq(A, r, rcond=math.sqrt(GRAM_CUTOFF))[0].reshape(e.n, e.n)
+        scale = max(1.0, np.linalg.norm(X), np.linalg.norm(r))
+        assert np.linalg.norm(project_affine(p, e, X) - (X - D)) <= 1e-13 * p.cond * scale
 
     @ORACLE
     @given(instances(), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 10.0]))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _utils import FIELDS, instances, rand_hermitian, rand_unit, rand_vector
-from phasefeas.linalg import COMPLEX, REAL, hs_inner
+from _utils import FIELDS, instances, lifted_matrix, rand_hermitian, rand_unit, rand_vector
+from phasefeas.linalg import COMPLEX, REAL, dtype_for, hermitize, hs_inner
 from phasefeas.sensing import (
     MeasurementVector,
     add_noise,
@@ -131,6 +131,42 @@ class TestLiftedOperators:
         lifted = apply_lifted(e, X)
         assert lifted.dtype == np.float64
         assert np.max(np.abs(lifted - oracle)) <= 1e-13 * scale
+
+
+ORACLE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+class TestLiftedMatrixOracle:
+    """The lifted map and its adjoint against the explicit m x n^2 matrix A."""
+
+    @ORACLE
+    @given(instances(), st.integers(0, 2**32 - 1), st.sampled_from(FIELDS), st.booleans())
+    def test_lift_of_any_square_matrix(self, instance, seed, x_field, hermitian):
+        # X of either field on an ensemble of either field, Hermitian or
+        # not: every mix reads Re(z_i* X z_i); the bound is the size of the
+        # terms of each row
+        e, _ = instance
+        rng = np.random.default_rng(seed)
+        X = np.array([rand_vector(rng, e.n, x_field) for _ in range(e.n)])
+        if hermitian:
+            X = hermitize(X)
+        A, x = lifted_matrix(e), X.ravel()
+        lifted = apply_lifted(e, X)
+        assert lifted.dtype == np.float64
+        assert np.all(np.abs(lifted - (A @ x).real) <= 1e-13 * (np.abs(A) @ np.abs(x)))
+
+    @ORACLE
+    @given(instances(), st.integers(0, 2**32 - 1))
+    def test_adjoint_is_the_conjugate_transpose(self, instance, seed):
+        # L*(lam) = (A^H lam).reshape(n, n), within 1e-12 of the size of the terms
+        e, _ = instance
+        lam = np.random.default_rng(seed).standard_normal(e.m)
+        A = lifted_matrix(e)
+        adjoint = apply_adjoint(e, lam)
+        assert adjoint.dtype == dtype_for(e.field)
+        ref = (A.conj().T @ lam).reshape(e.n, e.n)
+        scale = np.linalg.norm(np.abs(A).T @ np.abs(lam))
+        assert np.linalg.norm(adjoint - ref) <= 1e-12 * scale
 
 
 class TestSecondMomentOperator:

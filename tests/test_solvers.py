@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _utils import FIELDS, instances, rand_hermitian, rand_unit
+from _utils import FIELDS, gram_matrix, instances, rand_hermitian, rand_unit
 from phasefeas import projections, solvers
 from phasefeas.harness import run_trial
 from phasefeas.linalg import dtype_for, hermitize
@@ -460,7 +460,7 @@ class TestStepEquivalence:
     @given(instances(), st.integers(1, 25), st.sampled_from([0.0, 1e-3]))
     def test_nesterov_matches_textbook_loop(self, instance, k, lam):
         e, b = instance
-        alpha = 1.0 / build_affine_projector(e, b).gram.trace()  # below 1/lambda_max(G)
+        alpha = 1.0 / gram_matrix(e).trace()  # below 1/lambda_max(G)
         eye = np.eye(e.n, dtype=dtype_for(e.field))
         X = Y = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
         theta = 1.0
@@ -474,3 +474,19 @@ class TestStepEquivalence:
                            alpha=alpha, lambda_trace=lam)
         t = solve_nesterov(e, b, cfg)
         assert _rel_gap(t.final_X, X) <= 1e-10
+
+
+class TestSymmetryContracts:
+    """The adjoint is Hermitian only up to rounding, and the iterates exactly."""
+
+    @EQUIVALENCE
+    @given(instances(), st.integers(1, 25), st.sampled_from([0.0, 1e-3]))
+    def test_dr_and_nesterov_iterates_are_bitwise_hermitian(self, instance, k, lam):
+        e, b = instance
+        cfgs = [SolverConfig(max_iters=k, record_every=k),
+                SolverConfig(method="nesterov", max_iters=k, record_every=k,
+                             alpha=1.0 / gram_matrix(e).trace(), lambda_trace=lam)]
+        for cfg in cfgs:
+            X = solve(e, b, cfg).final_X
+            assert X.dtype == dtype_for(e.field)
+            assert np.array_equal(X, X.conj().T)
