@@ -148,7 +148,7 @@ def read_measurements(path, n):
     if not np.any(b > 0) and np.any(b < 0):
         raise ValueError(f"{path}: no positive measurement in b")
     Z = np.asarray(vectors)
-    return SensingEnsemble(field=field, vectors=Z), MeasurementVector(values=b)
+    return SensingEnsemble(vectors=Z), MeasurementVector(values=b)
 
 
 def cmd_solve(args):

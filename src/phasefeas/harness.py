@@ -76,6 +76,12 @@ def sample_unit_sphere(n, seed):
     return x / np.linalg.norm(x)
 
 
+def _draw_instance(n, m, seed):
+    """(x0, e): sub-stream 0 of `seed` gives a unit direction, 1 a real ensemble."""
+    return (sample_unit_sphere(n, derive_seed(seed, 0)),
+            sample_ensemble(n, m, REAL, derive_seed(seed, 1)))
+
+
 @functools.cache
 def _openblas_threads():
     """(get, set) of numpy's bundled OpenBLAS thread count, or None without it."""
@@ -118,8 +124,7 @@ def run_trial(n, m, eps, solver, seed, trial=0):
     """
     start = time.perf_counter()
     with _single_blas_thread():
-        x0 = sample_unit_sphere(n, derive_seed(seed, 0))
-        e = sample_ensemble(n, m, REAL, derive_seed(seed, 1))
+        x0, e = _draw_instance(n, m, seed)
         b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(seed, 2))
         X0 = np.outer(x0, x0)
         try:
@@ -251,8 +256,7 @@ def run_convergence_study(n, m, seed, out_dir, iters=1000):
     which is created only once the configs and the instance are accepted.
     """
     configs = [(name, replace(base, max_iters=iters)) for name, base in CONVERGENCE_METHODS]
-    x0 = sample_unit_sphere(n, derive_seed(seed, 0))
-    e = sample_ensemble(n, m, REAL, derive_seed(seed, 1))
+    x0, e = _draw_instance(n, m, seed)
     b = measure(e, x0)
     X0 = np.outer(x0, x0)
     os.makedirs(out_dir, exist_ok=True)
@@ -274,8 +278,7 @@ def run_certify_study(n, m, beta, seeds, seed, out_dir):
     rows = []
     for k in range(seeds):
         seed_k = derive_seed(seed, k)
-        anchor = sample_unit_sphere(n, derive_seed(seed_k, 0))
-        e = sample_ensemble(n, m, REAL, derive_seed(seed_k, 1))
+        anchor, e = _draw_instance(n, m, seed_k)
         Y, lam = build_certificate(e, CertificateParams(anchor=anchor, beta=beta))
         rows.append((k, seed_k, check_certificate(Y, lam, anchor)))
     os.makedirs(out_dir, exist_ok=True)  # only now, so a rejected input writes nothing

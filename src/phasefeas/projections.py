@@ -8,13 +8,14 @@ where G = L L* is the Gram matrix of the rank-1 frame {z_i z_i*} and G^+ is
 a rank-revealing pseudoinverse (relative eigenvalue cutoff 1e-12), so the
 same code path covers the underdetermined, critically determined, and
 least-squares regimes.  The Gram matrix is factored once per problem
-instance, and the dense m x m matrices G^+ (and G G^+, when G is singular)
-are formed from that factorization, so each solver iteration applies either
-with one matrix-vector product.  The correction L*(G^+ r) for a lifted
-residual r is `affine_correction`; the solvers call it with a residual they
-already hold, so they need not lift X again.  Like the adjoint it comes
-from, the correction is Hermitian only up to rounding; `project_affine`
-symmetrizes its result.
+instance, and the dense m x m matrix G^+ is formed from that factorization.
+It is the only m x m operator kept (there is no G G^+), and an iteration
+applies it with one matrix-vector product, `p.pinv @ r`.  The correction
+L*(G^+ r) for a lifted residual r is `affine_correction`; POCS calls it with
+the residual it already holds, so it need not lift X again, and DR applies
+the adjoint to its accumulated multiplier instead (see `solvers`).  Like the
+adjoint it comes from, the correction is Hermitian only up to rounding;
+`project_affine` symmetrizes its result.
 
 The PSD projection rebuilds its output from the square-root factor
 W = V_+ diag(lambda_+)^{1/2} as W W*.  For a real W, numpy computes W @ W.T
@@ -35,27 +36,17 @@ GRAM_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class AffineProjector:
-    pinv: np.ndarray         # (m, m) G^+, zero on the eigenvectors below the cutoff
-    range_proj: np.ndarray | None  # (m, m) G G^+ when rank < m; None at full rank
-    rank: int                # eigenvalues of G above the cutoff
-    cond: float              # lambda_max / smallest retained lambda
+    pinv: np.ndarray  # (m, m) G^+, zero on the eigenvectors below the cutoff
+    rank: int         # eigenvalues of G above the cutoff
+    cond: float       # lambda_max / smallest retained lambda
     b: MeasurementVector
-
-    def pinv_apply(self, y):
-        return self.pinv @ y
-
-    def range_apply(self, y):
-        """G G^+ y, the part of y in the range of G; y itself at full rank."""
-        if self.range_proj is None:
-            return y
-        return self.range_proj @ y
 
 
 def build_affine_projector(e, b):
     """Factor the Gram matrix of the measurement frame once, for reuse.
 
-    G^+ and G G^+ are built from the eigenpairs above the cutoff only: G^+
-    is zero on the rest.
+    G^+ is built from the eigenpairs above the cutoff only, and is zero on
+    the rest.
     """
     if b.values.shape != (e.m,):
         raise ValueError(f"dimension mismatch: b has shape {b.values.shape}, ensemble m={e.m}")
@@ -73,17 +64,17 @@ def build_affine_projector(e, b):
         raise RuntimeError(f"Gram factorization failed: matrix is zero (lambda_max={vmax!r})")
     rank = int(np.count_nonzero(vals > GRAM_CUTOFF * vmax))
     V = vecs[:, :rank]
-    range_proj = V @ V.T if rank < e.m else None
-    return AffineProjector(pinv=(V / vals[:rank]) @ V.T, range_proj=range_proj, rank=rank,
+    return AffineProjector(pinv=(V / vals[:rank]) @ V.T, rank=rank,
                            cond=vmax / float(vals[rank - 1]), b=b)
 
 
 def affine_correction(p, e, r):
     """L*(G^+ r): X minus this is the affine projection of X when r = L(X) - b.
 
-    The result is Hermitian up to rounding, and L of it is `p.range_apply(r)`.
+    The result is Hermitian up to rounding, and L of it is G G^+ r, the part
+    of r in the range of G.
     """
-    return apply_adjoint(e, p.pinv_apply(r))
+    return apply_adjoint(e, p.pinv @ r)
 
 
 def project_affine(p, e, X):

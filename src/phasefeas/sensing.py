@@ -50,8 +50,11 @@ def derive_seed(master, *keys):
 
 @dataclass(frozen=True)
 class SensingEnsemble:
-    field: str
     vectors: np.ndarray  # (m, n), row i is z_i
+
+    @property
+    def field(self):
+        return COMPLEX if np.iscomplexobj(self.vectors) else REAL
 
     @property
     def m(self):
@@ -80,7 +83,7 @@ def sample_ensemble(n, m, field=REAL, seed=0):
     Z = rng.standard_normal((m, n))
     if field == COMPLEX:
         Z = Z + 1j * rng.standard_normal((m, n))
-    return SensingEnsemble(field=field, vectors=Z)
+    return SensingEnsemble(vectors=Z)
 
 
 def measure(e, x):

@@ -20,14 +20,12 @@ recorded only when the ground truth is supplied; the feasibility residual
 
 Each step lifts its new iterate once and hands L(X_k) on, both to the trace
 and to the next step, which gets every other lifted vector it needs by
-linearity.  DR rests on the identity
-
-    P_aff(2X - Y) - X + Y = X - L*(G^+ r),   r = L(2X - Y) - b = 2 L(X) - L(Y) - b,
-
-with L(Y_k) = L(X_{k-1}) - G G^+ r; POCS applies L*(G^+ (L(X) - b)) to the
-L(X) it holds; Nesterov's extrapolated point has L(Y_k) =
-L(X_k) + beta_k (L(X_k) - L(X_{k-1})).  So a k-step solve makes k + 1 calls
-of the lifted map, one of them for iteration 0.
+linearity.  DR steps Y_k = X_{k-1} - L*(q_k) on its affine multiplier
+q_k = q_{k-1} + G^+ (2 L(X_{k-1}) - L(X_{k-2}) - b), since L(Y_k) =
+L(X_{k-1}) - G q_k and G^+ G q = q on the range of G^+; POCS applies
+L*(G^+ (L(X) - b)) to the L(X) it holds; Nesterov's extrapolated point has
+L(Y_k) = L(X_k) + beta_k (L(X_k) - L(X_{k-1})).  So a k-step solve makes
+k + 1 calls of the lifted map, one of them for iteration 0.
 """
 
 import math
@@ -163,27 +161,28 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
 
     Y_k = P_aff(2 X_{k-1} - Y_{k-1}) - X_{k-1} + Y_{k-1};  X_k = P_psd(Y_k).
 
-    Computed as Y_k = X_{k-1} - L*(G^+ r) with r = 2 L(X_{k-1}) - L(Y_{k-1}) - b,
-    which is the same point: P_aff(W) = W - L*(G^+ (L(W) - b)) at
-    W = 2X - Y.  L(Y_k) = L(X_{k-1}) - G G^+ r follows without a lift.
+    Computed as Y_k = X_{k-1} - L*(q_k) with q_0 = 0 and
+    q_k = q_{k-1} + G^+ (2 L(X_{k-1}) - L(X_{k-2}) - b), L(X_{-1}) := L(Y_0).
+    It is the same point: P_aff(W) = W - L*(G^+ (L(W) - b)) at W = 2X - Y,
+    L(Y_{k-1}) = L(X_{k-2}) - G q_{k-1} and G^+ G q_{k-1} = q_{k-1}.  The
+    state between steps is q and L(X_{k-1}), two m-vectors; no Y is kept.
     """
     _check_method(cfg, DR)
-    Y = _init_state(e.n, dtype_for(e.field), X_start)
-    lY = apply_lifted(e, Y)
-    if X_start is None:
-        X, lX = Y.copy(), lY
-    else:
-        X = project_psd(Y)
+    X = _init_state(e.n, dtype_for(e.field), X_start)
+    lX = lX_prev = apply_lifted(e, X)
+    if X_start is not None:
+        X = project_psd(X)
         lX = apply_lifted(e, X)
+    q = np.zeros(e.m)
 
     def step(X, lX):
-        nonlocal Y, lY
+        nonlocal q, lX_prev
         r = 2 * lX
-        r -= lY
+        r -= lX_prev
         r -= p.b.values
-        Y = X - affine_correction(p, e, r)
-        lY = lX - p.range_apply(r)
-        X_new = project_psd(Y)
+        q += p.pinv @ r
+        lX_prev = lX
+        X_new = project_psd(X - apply_adjoint(e, q))
         return X_new, apply_lifted(e, X_new)
 
     return _iterate(p.b, cfg, X0_true, X, lX, step)

@@ -74,6 +74,6 @@ def instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = [rand_vector(rng, n, field) for _ in range(m - repeats)]
     rows += [rows[int(rng.integers(len(rows)))] for _ in range(repeats)]
-    e = SensingEnsemble(field=field, vectors=np.array(rows))
+    e = SensingEnsemble(vectors=np.array(rows))
     b = add_noise(measure(e, rand_unit(rng, n, field)), eps, 1.0, seed=int(rng.integers(2**32)))
     return e, b

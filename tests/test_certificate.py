@@ -38,7 +38,7 @@ class TestBuildCertificate:
         n = 4
         Z = np.zeros((1, n))
         Z[0, 0] = 1.0
-        e = SensingEnsemble(field=REAL, vectors=Z)
+        e = SensingEnsemble(vectors=Z)
         Y, lam = build_certificate(e, CertificateParams(anchor=e1(n), beta=1.0))
         w = 3.0 / (n + 2) - 1.0
         assert lam[0] == pytest.approx(w)
@@ -68,7 +68,7 @@ class TestBuildCertificate:
         if field == COMPLEX:
             A = A + 1j * rng.standard_normal((n, n))
         Q, _ = np.linalg.qr(A)
-        rotated = SensingEnsemble(field=field, vectors=e.vectors @ Q.T)
+        rotated = SensingEnsemble(vectors=e.vectors @ Q.T)
         x0 = e1(n, field)
         Y_base, lam_base = build_certificate(e, CertificateParams(anchor=x0, beta=1.0))
         Y_rot, lam_rot = build_certificate(rotated, CertificateParams(anchor=Q @ x0, beta=1.0))
@@ -128,7 +128,7 @@ class TestTruncationEvents:
             [0, 3, 3 * i, 0],  # ||z|| = sqrt(18): the norm clause, <z, e1> = 0
             [1, i, 1, 0],      # kept
         ], dtype=complex if field == COMPLEX else float)
-        e = SensingEnsemble(field=field, vectors=Z)
+        e = SensingEnsemble(vectors=Z)
         anchor = e1(4, field)
         w = certificate_weights(e, anchor)
         assert np.all(w != 0.0)

@@ -8,6 +8,7 @@ from _utils import FIELDS, instances, lifted_matrix, rand_hermitian, rand_unit, 
 from phasefeas.linalg import COMPLEX, REAL, dtype_for, hermitize, hs_inner
 from phasefeas.sensing import (
     MeasurementVector,
+    SensingEnsemble,
     add_noise,
     apply_adjoint,
     apply_lifted,
@@ -44,6 +45,21 @@ class TestSampleEnsemble:
             sample_ensemble(0, 5)
         with pytest.raises(ValueError):
             sample_ensemble(5, 0)
+
+
+class TestEnsembleField:
+    """The field is read from the dtype of the vectors, not stored beside it."""
+
+    @pytest.mark.parametrize("dtype, field", [
+        (np.complex128, COMPLEX), (np.float64, REAL), (np.int64, REAL),
+    ])
+    def test_field_follows_the_dtype(self, dtype, field):
+        e = SensingEnsemble(vectors=np.ones((3, 2), dtype=dtype))
+        assert e.field == field
+
+    def test_field_is_not_settable(self):
+        with pytest.raises(TypeError):
+            SensingEnsemble(field=REAL, vectors=np.ones((3, 2), dtype=complex))
 
 
 class TestMeasure:

@@ -445,6 +445,28 @@ class TestStepEquivalence:
         t = solve_dr(p, e, SolverConfig(max_iters=k, record_every=k))
         assert _rel_gap(t.final_X, X) <= 1e-10
 
+    @pytest.mark.parametrize("n, m, field", [(4, 20, "real"), (6, 30, "real"), (3, 14, "complex")])
+    def test_dr_matches_textbook_loop_where_the_sets_do_not_meet(self, n, m, field):
+        # eps = 0.1 with m past the dimension of the Hermitian matrices: G is
+        # rank-deficient, b lies off the range of L, and the textbook Y drifts
+        # without bound while X settles; 2000 steps of the multiplier
+        # recursion must not drift away from it
+        rng = np.random.default_rng(derive_seed(n, 0))
+        e = sample_ensemble(n, m, field, seed=derive_seed(n, 1))
+        b = add_noise(measure(e, rand_unit(rng, n, field)), 0.1, 1.0, seed=derive_seed(n, 2))
+        p = build_affine_projector(e, b)
+        assert p.rank < m
+        X = Y = np.zeros((n, n), dtype=dtype_for(field))
+        k = 2000
+        for i in range(k):
+            Y = project_affine(p, e, 2 * X - Y) - X + Y
+            X = project_psd(Y)
+            if i == 99:
+                early = np.linalg.norm(Y)
+        assert np.linalg.norm(Y) > 4 * early
+        t = solve_dr(p, e, SolverConfig(max_iters=k, record_every=k))
+        assert _rel_gap(t.final_X, X) <= 1e-10
+
     @EQUIVALENCE
     @given(instances(), st.integers(1, 25))
     def test_pocs_is_bitwise_the_textbook_loop(self, instance, k):
