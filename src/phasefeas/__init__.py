@@ -54,6 +54,7 @@ from .sensing import (
     add_noise,
     apply_adjoint,
     apply_lifted,
+    apply_lifted_factor,
     derive_seed,
     measure,
     s_apply,

@@ -21,7 +21,9 @@ The PSD projection rebuilds its output from the square-root factor
 W = V_+ diag(lambda_+)^{1/2} as W W*.  For a real W, numpy computes W @ W.T
 with BLAS `syrk`: half the flops of a general product, and the result is
 symmetric bit for bit; a complex W W* is symmetrized in place.  Its input
-need not be exactly Hermitian: `eigh` reads only the lower triangle.
+need not be exactly Hermitian: `eigh` reads only the lower triangle.  It
+returns W alongside W W*, so a solver can lift its iterate through the
+factor (`sensing.apply_lifted_factor`, m n r work instead of m n^2).
 """
 
 from dataclasses import dataclass
@@ -84,14 +86,16 @@ def project_affine(p, e, X):
 
 
 def project_psd(X):
-    """Nearest positive semidefinite matrix: clamp negative eigenvalues to 0.
+    """Nearest positive semidefinite matrix P and its square-root factor W.
 
-    Reads the lower triangle of X only, as `eigh` does.  Rebuilt as W W*
-    from the r positive eigenpairs only (values are descending),
-    W = V_r diag(lambda_r)^{1/2}, so the product costs about n*n*r/2 (real,
-    `syrk`) instead of n^3; r = 0 gives exact zeros.  A real W W* is already
-    exactly symmetric; a complex one is made exactly Hermitian in place,
-    bit for bit as `hermitize` would.
+    Returns (P, W): P clamps the negative eigenvalues of X to 0, and
+    W = V_r diag(lambda_r)^{1/2} is the (n, r) factor of the r positive
+    eigenpairs (values are descending), so P = W W*.  Reads the lower
+    triangle of X only, as `eigh` does.  The product costs about n*n*r/2
+    (real, `syrk`) instead of n^3; r = 0 gives an (n, 0) W and exact zeros.
+    A real W W* is already exactly symmetric; a complex one is made exactly
+    Hermitian in place, bit for bit as `hermitize` would, so it equals
+    W W* only up to rounding.
     """
     d = eig(X)
     r = int(np.count_nonzero(d.values > 0))
@@ -100,7 +104,7 @@ def project_psd(X):
     if np.iscomplexobj(out):
         out += out.conj().T
         out *= 0.5
-    return out
+    return out, W
 
 
 def leading_eigenvector(X):

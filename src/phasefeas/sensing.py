@@ -19,6 +19,10 @@ conjugate of Z is copied and no imaginary part is formed; in the real field
 the views are the arrays themselves, so one expression serves both fields.
 Only a complex X on a real ensemble (or rows that are not contiguous) makes
 a copy of Z, in U's dtype; the result is still Re(z_i* X z_i).
+For X = W W* given by an n x r factor W, the factor lift
+L(W W*)_i = ||W* z_i||^2 is one product U = Z conj(W), with U_ik =
+(W* z_i)_k, and one `np.einsum` of U's float64 view against itself: m n r
+multiply-adds instead of m n^2, and never more since r <= n.
 The adjoint is one matrix product (Z^T diag(lam)) conj(Z).  It is Hermitian
 only up to rounding: the layers that need exact symmetry symmetrize it
 themselves (the affine projection, the POCS step and the certificate
@@ -109,6 +113,20 @@ def apply_lifted(e, X):
     Z = np.ascontiguousarray(e.vectors, dtype=U.dtype)
     part = U.real.dtype
     return np.einsum("ij,ij->i", U.view(part), Z.view(part))
+
+
+def apply_lifted_factor(e, W):
+    """Lifted measurements of X = W W* from its (n, r) factor: ||W* z_i||^2.
+
+    Equal to `apply_lifted(e, W @ W.conj().T)` up to rounding, for any r >= 0
+    (r = 0 gives zeros).  U = Z conj(W) is a fresh C-contiguous array, so
+    its float64 view needs no copy whatever the dtypes of Z and W.
+    """
+    if W.ndim != 2 or W.shape[0] != e.n:
+        raise ValueError(f"dimension mismatch: W is {W.shape}, ensemble n={e.n}")
+    U = e.vectors @ W.conj()
+    U = U.view(U.real.dtype)
+    return np.einsum("ij,ij->i", U, U)
 
 
 def apply_adjoint(e, lam):

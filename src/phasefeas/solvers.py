@@ -24,8 +24,12 @@ linearity.  DR steps Y_k = X_{k-1} - L*(q_k) on its affine multiplier
 q_k = q_{k-1} + G^+ (2 L(X_{k-1}) - L(X_{k-2}) - b), since L(Y_k) =
 L(X_{k-1}) - G q_k and G^+ G q = q on the range of G^+; POCS applies
 L*(G^+ (L(X) - b)) to the L(X) it holds; Nesterov's extrapolated point has
-L(Y_k) = L(X_k) + beta_k (L(X_k) - L(X_{k-1})).  So a k-step solve makes
-k + 1 calls of the lifted map, one of them for iteration 0.
+L(Y_k) = L(X_k) + beta_k (L(X_k) - L(X_{k-1})).  DR and Nesterov lift
+X_k = W W* through the factor W that `project_psd` returns with it
+(`apply_lifted_factor`, m n r work for rank r instead of m n^2); POCS
+lifts the dense X_k, so that its affine point is `project_affine`'s bit
+for bit.  So a k-step solve makes k + 1 lifts, one of them (always dense)
+for iteration 0, plus one factor lift for a projected DR warm start.
 """
 
 import math
@@ -40,7 +44,7 @@ from .projections import (
     leading_eigenvector,
     project_psd,
 )
-from .sensing import apply_adjoint, apply_lifted
+from .sensing import apply_adjoint, apply_lifted, apply_lifted_factor
 
 DR = "dr"
 POCS = "pocs"
@@ -96,10 +100,18 @@ class SolverTrace:
         return self.points[-1].residual if self.points else math.nan
 
 
+def _frobenius(x):
+    """||x||_F, bit for bit as `np.linalg.norm(x)` computes it, minus its wrapper."""
+    x = x.ravel()
+    if np.iscomplexobj(x):
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
 def _relative_residual(lifted, b, b_norm):
     """||L(X) - b||_2 / ||b||_2 from L(X); the bare norm when b = 0."""
-    gap = np.linalg.norm(lifted - b.values)
-    return float(gap / b_norm) if b_norm > 0 else float(gap)
+    gap = _frobenius(lifted - b.values)
+    return gap / b_norm if b_norm > 0 else gap
 
 
 def _init_state(n, dtype, X_start):
@@ -117,13 +129,14 @@ def _check_method(cfg, method):
 
 
 def _iterate(b, cfg, X0_true, X, lX, step):
-    """The iteration loop shared by every solver: X_k, L(X_k) = step(X_{k-1}, L(X_{k-1})).
+    """The iteration loop shared by every solver: X_k, L(X_k), res = step(X_{k-1}, L(X_{k-1})).
 
     Runs exactly `cfg.max_iters` steps.  `lX` is L(X) of the starting
     iterate.  Records iteration 0, every `record_every`-th iteration and the
-    last iteration, each once, with the residual taken from the lifted vector
-    the step returned; the recovery error divides by ||X0_true||_F, computed
-    once.  A record takes one Frobenius norm and no finiteness scan of X:
+    last iteration, each once, with the relative residual `res` the step
+    returned, or, when that is None, the one of the lifted vector it
+    returned; the recovery error divides by ||X0_true||_F, computed once.
+    A record takes one Frobenius norm and no finiteness scan of X:
     every X after iteration 0 comes out of `project_psd`, whose `eig`
     rejects a non-finite input, and a non-finite residual or trace raises.
     An exception raised by a step is re-raised as RuntimeError("iteration k: ...").
@@ -136,9 +149,10 @@ def _iterate(b, cfg, X0_true, X, lX, step):
             raise ValueError("X0 must be nonzero")
     trace = SolverTrace()
 
-    def record(k, X, lX):
-        err = float(np.linalg.norm(X - X0_true) / x0_norm) if X0_true is not None else math.nan
-        res = _relative_residual(lX, b, b_norm)
+    def record(k, X, lX, res=None):
+        err = _frobenius(X - X0_true) / x0_norm if X0_true is not None else math.nan
+        if res is None:
+            res = _relative_residual(lX, b, b_norm)
         tr = float(X.trace().real)
         if not (math.isfinite(res) and math.isfinite(tr)):
             raise RuntimeError(f"non-finite iterate at iteration {k}")
@@ -147,11 +161,11 @@ def _iterate(b, cfg, X0_true, X, lX, step):
     record(0, X, lX)
     for k in range(1, cfg.max_iters + 1):
         try:
-            X, lX = step(X, lX)
+            X, lX, res = step(X, lX)
         except Exception as err:
             raise RuntimeError(f"iteration {k}: {err}") from err
         if k % cfg.record_every == 0 or k == cfg.max_iters:
-            record(k, X, lX)
+            record(k, X, lX, res)
     trace.final_X = X
     return trace
 
@@ -166,13 +180,15 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
     It is the same point: P_aff(W) = W - L*(G^+ (L(W) - b)) at W = 2X - Y,
     L(Y_{k-1}) = L(X_{k-2}) - G q_{k-1} and G^+ G q_{k-1} = q_{k-1}.  The
     state between steps is q and L(X_{k-1}), two m-vectors; no Y is kept.
+    Each X_k, the projected warm start included, is lifted through its
+    PSD factor.
     """
     _check_method(cfg, DR)
     X = _init_state(e.n, dtype_for(e.field), X_start)
     lX = lX_prev = apply_lifted(e, X)
     if X_start is not None:
-        X = project_psd(X)
-        lX = apply_lifted(e, X)
+        X, W = project_psd(X)
+        lX = apply_lifted_factor(e, W)
     q = np.zeros(e.m)
 
     def step(X, lX):
@@ -182,8 +198,8 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
         r -= p.b.values
         q += p.pinv @ r
         lX_prev = lX
-        X_new = project_psd(X - apply_adjoint(e, q))
-        return X_new, apply_lifted(e, X_new)
+        X_new, W = project_psd(X - apply_adjoint(e, q))
+        return X_new, apply_lifted_factor(e, W), None
 
     return _iterate(p.b, cfg, X0_true, X, lX, step)
 
@@ -192,14 +208,14 @@ def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
     """Alternating projections X_{k} = P_psd(P_aff(X_{k-1})).
 
     P_aff(X) = hermitize(X - L*(G^+ (L(X) - b))) takes L(X) from the previous
-    step; it is `project_affine` bit for bit.
+    step; it is `project_affine` bit for bit, so X is lifted dense.
     """
     _check_method(cfg, POCS)
     X = _init_state(e.n, dtype_for(e.field), X_start)
 
     def step(X, lX):
-        X_new = project_psd(hermitize(X - affine_correction(p, e, lX - p.b.values)))
-        return X_new, apply_lifted(e, X_new)
+        X_new = project_psd(hermitize(X - affine_correction(p, e, lX - p.b.values)))[0]
+        return X_new, apply_lifted(e, X_new), None
 
     return _iterate(p.b, cfg, X0_true, X, apply_lifted(e, X), step)
 
@@ -212,11 +228,12 @@ def solve_nesterov(e, b, cfg, X0_true=None):
     beta_k  = theta_k (1/theta_{k-1} - 1),
     Y_k     = X_k + beta_k (X_k - X_{k-1}),
 
-    with grad g(X) = L*(L(X) - b) + lambda I and L(Y_k) taken by linearity
-    from L(X_k) and L(X_{k-1}).  The step subtracts alpha lambda from the
-    diagonal of Y - alpha L*(L(Y) - b) in place.  Aborts when the
-    feasibility residual exceeds 1e6 (step size too large).  The guard
-    checks every step, not only recorded ones.
+    with grad g(X) = L*(L(X) - b) + lambda I, L(X_k) lifted through the
+    factor of X_k, and L(Y_k) taken by linearity from L(X_k) and
+    L(X_{k-1}).  The step subtracts alpha lambda from the diagonal of
+    Y - alpha L*(L(Y) - b) in place.  Aborts when the feasibility residual
+    exceeds 1e6 (step size too large).  The guard checks every step, not
+    only recorded ones, and hands its residual to the record.
     """
     _check_method(cfg, NESTEROV)
     X = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
@@ -229,8 +246,8 @@ def solve_nesterov(e, b, cfg, X0_true=None):
         nonlocal Y, lY, theta
         V = Y - cfg.alpha * apply_adjoint(e, lY - b.values)
         V.flat[:: e.n + 1] -= cfg.alpha * cfg.lambda_trace
-        X_new = project_psd(V)
-        lX_new = apply_lifted(e, X_new)
+        X_new, W = project_psd(V)
+        lX_new = apply_lifted_factor(e, W)
         res = _relative_residual(lX_new, b, b_norm)
         if not math.isfinite(res) or res > DIVERGENCE_LIMIT:
             raise RuntimeError(f"step size too large: residual {res:.3e}")
@@ -239,7 +256,7 @@ def solve_nesterov(e, b, cfg, X0_true=None):
         Y = X_new + beta * (X_new - X)
         lY = lX_new + beta * (lX_new - lX)
         theta = theta_new
-        return X_new, lX_new
+        return X_new, lX_new, res
 
     return _iterate(b, cfg, X0_true, X, lX, step)
 

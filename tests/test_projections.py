@@ -162,7 +162,7 @@ class TestProjectAffine:
 
 class TestProjectPsd:
     def test_diagonal_clamp(self):
-        assert np.allclose(project_psd(np.diag([3.0, -2.0])), np.diag([3.0, 0.0]))
+        assert np.allclose(project_psd(np.diag([3.0, -2.0]))[0], np.diag([3.0, 0.0]))
 
     def test_psd_unchanged(self):
         # full rank keeps every eigenpair (r = n); its negation keeps none
@@ -170,19 +170,19 @@ class TestProjectPsd:
         rng = np.random.default_rng(11)
         B = rng.standard_normal((4, 4))
         X = B @ B.T
-        assert np.max(np.abs(project_psd(X) - X)) <= 1e-10 * schatten_norm(X, 2)
-        assert np.array_equal(project_psd(-X), np.zeros((4, 4)))
+        assert np.max(np.abs(project_psd(X)[0] - X)) <= 1e-10 * schatten_norm(X, 2)
+        assert np.array_equal(project_psd(-X)[0], np.zeros((4, 4)))
         C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         Y = C @ C.conj().T
-        assert np.max(np.abs(project_psd(Y) - Y)) <= 1e-10 * schatten_norm(Y, 2)
-        assert np.array_equal(project_psd(-Y), np.zeros((4, 4)))
+        assert np.max(np.abs(project_psd(Y)[0] - Y)) <= 1e-10 * schatten_norm(Y, 2)
+        assert np.array_equal(project_psd(-Y)[0], np.zeros((4, 4)))
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_output_psd(self, field):
         rng = np.random.default_rng(13)
         for _ in range(10):
             X = rand_hermitian(rng, 5, field, scale=2.0)
-            out = project_psd(X)
+            out = project_psd(X)[0]
             lam_min = np.linalg.eigvalsh(out).min()
             assert lam_min >= -1e-10 * schatten_norm(X, np.inf)
 
@@ -194,19 +194,38 @@ class TestProjectPsd:
         rng = np.random.default_rng(47 + n)
         for _ in range(10):
             X = rand_hermitian(rng, n, REAL)
-            out, ref = project_psd(X), psd_phase_fixed_reference(X)
+            out, ref = project_psd(X)[0], psd_phase_fixed_reference(X)
             assert np.array_equal(out, out.T)
             assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
             X = rand_hermitian(rng, n, COMPLEX)
             ref = psd_phase_fixed_reference(X)
-            assert np.linalg.norm(project_psd(X) - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(project_psd(X)[0] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_returns_its_square_root_factor(self, field, n):
+        # P = W W*: bitwise in the real field (the same syrk product), to
+        # rounding in the complex field (P is symmetrized); W has one column
+        # per positive eigenvalue, for full-rank and rank-deficient inputs,
+        # and -I gives an (n, 0) factor and exact zeros
+        rng = np.random.default_rng(61 + n)
+        B = rand_hermitian(rng, n, field)[:, : max(1, n // 3)]
+        eye = np.eye(n, dtype=B.dtype)
+        for X in (rand_hermitian(rng, n, field), B @ B.conj().T - 0.1 * eye, -eye):
+            P, W = project_psd(X)
+            assert W.shape == (n, np.count_nonzero(np.linalg.eigh(X)[0] > 0))
+            assert W.dtype == P.dtype
+            if field == REAL:
+                assert np.array_equal(W @ W.conj().T, P)
+            else:
+                assert np.linalg.norm(W @ W.conj().T - P) <= 1e-14 * np.linalg.norm(P)
 
     def test_obtuseness(self):
         # variational characterization of the metric projection:
         # <X - P(X), Y - P(X)> <= 0 for every PSD Y
         rng = np.random.default_rng(17)
         X = rand_hermitian(rng, 5, scale=2.0)
-        out = project_psd(X)
+        out = project_psd(X)[0]
         for _ in range(20):
             B = rng.standard_normal((5, 5))
             Y = B @ B.T
@@ -250,7 +269,7 @@ class TestKernelOracles:
     def test_project_psd_is_bitwise_hermitian(self, instance, seed, scale):
         e, _ = instance
         X = rand_hermitian(np.random.default_rng(seed), e.n, e.field, scale=scale)
-        out = project_psd(X)
+        out = project_psd(X)[0]
         if e.field == REAL:
             assert out.dtype == np.float64
             assert np.array_equal(out, out.T)
@@ -266,7 +285,7 @@ class TestNonexpansive:
         for _ in range(50):
             X, Y = rand_hermitian(rng, 5), rand_hermitian(rng, 5)
             dxy = schatten_norm(X - Y, 2)
-            assert schatten_norm(project_psd(X) - project_psd(Y), 2) <= dxy + 1e-8
+            assert schatten_norm(project_psd(X)[0] - project_psd(Y)[0], 2) <= dxy + 1e-8
             da = schatten_norm(project_affine(p, e, X) - project_affine(p, e, Y), 2)
             assert da <= dxy + 1e-8
 

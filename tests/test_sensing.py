@@ -12,6 +12,7 @@ from phasefeas.sensing import (
     add_noise,
     apply_adjoint,
     apply_lifted,
+    apply_lifted_factor,
     derive_seed,
     measure,
     s_apply,
@@ -170,6 +171,29 @@ class TestLiftedMatrixOracle:
         lifted = apply_lifted(e, X)
         assert lifted.dtype == np.float64
         assert np.all(np.abs(lifted - (A @ x).real) <= 1e-13 * (np.abs(A) @ np.abs(x)))
+
+    @ORACLE
+    @given(instances(), st.integers(0, 2**32 - 1), st.sampled_from(["zero", "one", "n"]))
+    def test_factor_lift_matches_the_dense_lift(self, instance, seed, rank):
+        # ||W* z_i||^2 = z_i* (W W*) z_i for a factor W of rank 0, 1 or n,
+        # against the explicit matrix and the dense lift of W W*
+        e, _ = instance
+        r = {"zero": 0, "one": 1, "n": e.n}[rank]
+        rng = np.random.default_rng(seed)
+        W = np.array([rand_vector(rng, r, e.field) for _ in range(e.n)]).reshape(e.n, r)
+        X = W @ W.conj().T
+        lifted = apply_lifted_factor(e, W)
+        assert lifted.dtype == np.float64
+        assert lifted.shape == (e.m,)
+        for ref in ((lifted_matrix(e) @ X.ravel()).real, apply_lifted(e, X)):
+            assert np.linalg.norm(lifted - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_factor_lift_dim_mismatch(self):
+        e = sample_ensemble(3, 5, REAL, seed=0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_lifted_factor(e, np.ones((4, 2)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_lifted_factor(e, np.ones(3))
 
     @ORACLE
     @given(instances(), st.integers(0, 2**32 - 1))

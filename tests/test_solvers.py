@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,8 +197,8 @@ class TestPocs:
         p = build_affine_projector(e, b)
         X_star = solve_dr(p, e, SolverConfig(max_iters=2000, record_every=2000)).final_X
         assert np.linalg.norm(project_affine(p, e, X_star) - X_star) < 1e-10
-        assert np.linalg.norm(project_psd(X_star) - X_star) < 1e-10
-        pocs_step = project_psd(project_affine(p, e, X_star))
+        assert np.linalg.norm(project_psd(X_star)[0] - X_star) < 1e-10
+        pocs_step = project_psd(project_affine(p, e, X_star))[0]
         assert np.linalg.norm(pocs_step - X_star) <= 1e-9
         dr_t = solve_dr(p, e, SolverConfig(max_iters=1), X_start=X_star)
         assert np.linalg.norm(dr_t.final_X - X_star) <= 1e-9
@@ -399,28 +400,82 @@ class TestCallStructure:
     @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
     def test_one_lift_per_step(self, monkeypatch, method, record_every):
         # each step lifts its new iterate once, for the trace and the next
-        # step alike; the extra call is the lift of the starting point.
+        # step alike: DR and Nesterov through the PSD factor, POCS dense.
+        # The one dense call on top is the lift of the starting point.
         # Counted in every namespace a solver step could lift through.
-        calls = []
-        apply_lifted = solvers.apply_lifted
+        calls = {"apply_lifted": 0, "apply_lifted_factor": 0}
 
-        def counted(e, X):
-            calls.append(1)
-            return apply_lifted(e, X)
+        def counting(name, fn):
+            def counted(e, X):
+                calls[name] += 1
+                return fn(e, X)
+            return counted
 
-        for module in (solvers, projections):
-            monkeypatch.setattr(module, "apply_lifted", counted)
+        for name in calls:
+            wrapped = counting(name, getattr(solvers, name))
+            for module in (solvers, projections):
+                monkeypatch.setattr(module, name, wrapped, raising=False)
         e, b, _ = setup_instance(5, 12, 8, eps=0.05)
         cfg = SolverConfig(method=method, max_iters=100, alpha=1e-3,
                            record_every=record_every)
         t = solve(e, b, cfg)
         assert len(t.points) == (101 if record_every == 1 else 2)
-        assert len(calls) == 101
+        if method == "pocs":
+            assert calls == {"apply_lifted": 101, "apply_lifted_factor": 0}
+        else:
+            assert calls == {"apply_lifted": 1, "apply_lifted_factor": 100}
+
+    def test_dr_warm_start_is_lifted_through_its_factor(self, monkeypatch):
+        # the warm start adds one factor lift for its projection; the dense
+        # lift is of the unprojected start, L(Y_0)
+        calls = []
+        apply_lifted_factor = solvers.apply_lifted_factor
+
+        def counted(e, W):
+            calls.append(1)
+            return apply_lifted_factor(e, W)
+
+        monkeypatch.setattr(solvers, "apply_lifted_factor", counted)
+        e, b, X0 = setup_instance(5, 12, 8)
+        p = build_affine_projector(e, b)
+        solve_dr(p, e, SolverConfig(max_iters=3), X_start=X0)
+        assert len(calls) == 4
 
     def test_leading_eigenvector_is_one_eig(self, counts):
         rng = np.random.default_rng(9)
         leading_eigenvector(rand_hermitian(rng, 5))
         assert (counts["eig"], counts["eigh"]) == (1, 1)
+
+
+class TestRecordNorms:
+    """A record's two norms are `np.linalg.norm`'s, bit for bit, without its wrapper."""
+
+    @staticmethod
+    def _same(ours, theirs):
+        # equal bits and the same warnings (an overflow in `dot` at 1e200)
+        with warnings.catch_warnings(record=True) as ours_warned:
+            warnings.simplefilter("always")
+            got = ours()
+        with warnings.catch_warnings(record=True) as theirs_warned:
+            warnings.simplefilter("always")
+            want = theirs()
+        assert type(got) is float
+        assert got == want
+        assert [w.category for w in ours_warned] == [w.category for w in theirs_warned]
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_bitwise_np_linalg_norm(self, field, scale):
+        rng = np.random.default_rng(71)
+        for n in (1, 3, 20):
+            X = scale * rand_hermitian(rng, n, field)
+            self._same(lambda: solvers._frobenius(X), lambda: np.linalg.norm(X))
+            e = sample_ensemble(n, 4 * n, field, seed=n)
+            b = add_noise(measure(e, rand_unit(rng, n, field)), 0.1, 1.0, seed=n)
+            lX = apply_lifted(e, X)
+            b_norm = float(np.linalg.norm(b.values))
+            self._same(lambda: solvers._relative_residual(lX, b, b_norm),
+                       lambda: np.linalg.norm(lX - b.values) / b_norm)
 
 
 EQUIVALENCE = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -441,7 +496,7 @@ class TestStepEquivalence:
         X = Y = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
         for _ in range(k):
             Y = project_affine(p, e, 2 * X - Y) - X + Y
-            X = project_psd(Y)
+            X = project_psd(Y)[0]
         t = solve_dr(p, e, SolverConfig(max_iters=k, record_every=k))
         assert _rel_gap(t.final_X, X) <= 1e-10
 
@@ -460,7 +515,7 @@ class TestStepEquivalence:
         k = 2000
         for i in range(k):
             Y = project_affine(p, e, 2 * X - Y) - X + Y
-            X = project_psd(Y)
+            X = project_psd(Y)[0]
             if i == 99:
                 early = np.linalg.norm(Y)
         assert np.linalg.norm(Y) > 4 * early
@@ -474,7 +529,7 @@ class TestStepEquivalence:
         p = build_affine_projector(e, b)
         X = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
         for _ in range(k):
-            X = project_psd(project_affine(p, e, X))
+            X = project_psd(project_affine(p, e, X))[0]
         t = solve_pocs(p, e, SolverConfig(method="pocs", max_iters=k, record_every=k))
         assert np.array_equal(t.final_X, X)
 
@@ -488,7 +543,7 @@ class TestStepEquivalence:
         theta = 1.0
         for _ in range(k):
             grad = apply_adjoint(e, apply_lifted(e, Y) - b.values) + lam * eye
-            X_new = project_psd(Y - alpha * grad)
+            X_new = project_psd(Y - alpha * grad)[0]
             theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / theta**2))
             Y = X_new + theta_new * (1.0 / theta - 1.0) * (X_new - X)
             X, theta = X_new, theta_new
