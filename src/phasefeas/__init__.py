@@ -30,7 +30,6 @@ from .harness import (
 from .linalg import (
     COMPLEX,
     REAL,
-    EigenDecomposition,
     eig,
     hermitize,
     hs_inner,
@@ -40,7 +39,6 @@ from .linalg import (
 )
 from .projections import (
     AffineProjector,
-    affine_correction,
     build_affine_projector,
     leading_eigenvector,
     project_affine,

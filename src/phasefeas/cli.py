@@ -1,8 +1,6 @@
 """Command-line interface: grid, converge, certify, solve."""
 
 import argparse
-import csv
-import math
 import os
 import sys
 
@@ -103,52 +101,58 @@ def cmd_certify(args):
 
 
 def read_measurements(path, n):
-    """Parse `z_1..z_n,b` (real) or interleaved `re_k,im_k` columns (complex)."""
+    """Parse `z_1..z_n,b` (real) or interleaved `re_k,im_k` columns (complex).
+
+    Fields may be quoted and lines may end in CRLF; blank lines are skipped,
+    and `#` starts no comment.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        real_cols = [f"z_{k}" for k in range(1, n + 1)] + ["b"]
-        complex_cols = [t for k in range(1, n + 1) for t in (f"re_{k}", f"im_{k}")] + ["b"]
-        if header == real_cols:
-            field = REAL
-        elif header == complex_cols:
-            field = COMPLEX
-        else:
-            raise ValueError(f"{path}: header does not match n={n} real or complex layout")
-        vectors, values = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                nums = [float(tok) for tok in row]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
-            if not all(math.isfinite(v) for v in nums):
-                raise ValueError(f"{path}:{lineno}: non-finite entry")
-            if len(nums) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(nums)}")
-            if field == REAL:
-                vectors.append(nums[:n])
-            else:
-                re = np.array(nums[0 : 2 * n : 2])
-                im = np.array(nums[1 : 2 * n : 2])
-                vectors.append(re + 1j * im)
-            values.append(nums[-1])
-    if not vectors:
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header = [h.strip().strip('"') for h in lines[0].split(",")]
+    real_cols = [f"z_{k}" for k in range(1, n + 1)] + ["b"]
+    complex_cols = [t for k in range(1, n + 1) for t in (f"re_{k}", f"im_{k}")] + ["b"]
+    if header == real_cols:
+        field = REAL
+    elif header == complex_cols:
+        field = COMPLEX
+    else:
+        raise ValueError(f"{path}: header does not match n={n} real or complex layout")
+    linenos = [k for k, line in enumerate(lines[1:], start=2) if line]
+    if not linenos:
         raise ValueError(f"{path}: no measurement rows")
-    b = np.asarray(values)
+    width = len(header)
+    pulled = []
+
+    def rows():
+        # loadtxt pulls one line at a time, so the last line pulled is the one it failed on
+        for k in linenos:
+            pulled.append(k)
+            yield lines[k - 1]
+
+    try:
+        table = np.loadtxt(rows(), delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        for k in (linenos[0], pulled[-1]):
+            got = lines[k - 1].count(",") + 1
+            if got != width:
+                raise ValueError(f"{path}:{k}: expected {width} columns, got {got}") from None
+        raise ValueError(f"{path}:{pulled[-1]}: non-numeric entry") from None
+    if table.shape[1] != width:
+        raise ValueError(f"{path}:{linenos[0]}: expected {width} columns, got {table.shape[1]}")
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{linenos[np.argmin(finite)]}: non-finite entry")
+    b = table[:, -1].copy()
     # All-zero b is the exact data of x = 0 and is left to the solver; b <= 0
     # with a negative entry is the data of no signal at all.
     if not np.any(b > 0) and np.any(b < 0):
         raise ValueError(f"{path}: no positive measurement in b")
-    Z = np.asarray(vectors)
-    return SensingEnsemble(vectors=Z), MeasurementVector(values=b)
+    Z = table[:, :n] if field == REAL else table[:, 0 : 2 * n : 2] + 1j * table[:, 1 : 2 * n : 2]
+    return SensingEnsemble(vectors=np.ascontiguousarray(Z)), MeasurementVector(values=b)
 
 
 def cmd_solve(args):

@@ -7,8 +7,6 @@ construction via :func:`hermitize`, or, for the real PSD rebuild W W^T, by
 BLAS `syrk`, which fills one triangle and mirrors it.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 REAL = "real"
@@ -39,10 +37,10 @@ def hermitize(X):
     return (X + X.conj().T) / 2
 
 
-def require_square(X, name="matrix"):
+def require_square(X):
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError(f"dimension mismatch: {name} must be square, got shape {X.shape}")
+        raise ValueError(f"dimension mismatch: matrix must be square, got shape {X.shape}")
     return X
 
 
@@ -64,24 +62,20 @@ def check_anchor(x):
     return x
 
 
-class EigenDecomposition(NamedTuple):
-    values: np.ndarray   # real, sorted descending
-    vectors: np.ndarray  # orthonormal columns, each defined up to a phase
-
-
 def eig(X):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition (values, vectors) of a Hermitian matrix.
 
-    Deterministic for a fixed input.  Columns come as `np.linalg.eigh`
-    returns them, with no phase convention; callers that expose a vector
-    fix its phase themselves (see `projections.leading_eigenvector`).  Both
-    arrays are reversed views of `eigh`'s output, not copies.
+    The values are real and descending; the vectors are orthonormal
+    columns, as `np.linalg.eigh` returns them, with no phase convention:
+    callers that expose a vector fix its phase themselves (see
+    `projections.leading_eigenvector`).  Deterministic for a fixed input.
+    Both arrays are reversed views of `eigh`'s output, not copies.
     """
     X = require_square(X)
     if not np.isfinite(X).all():
         raise ValueError("non-finite input")
     values, vectors = np.linalg.eigh(X)
-    return EigenDecomposition(values[::-1], vectors[:, ::-1])
+    return values[::-1], vectors[:, ::-1]
 
 
 def schatten_norm(X, p):
@@ -94,7 +88,7 @@ def schatten_norm(X, p):
     sv = np.abs(np.linalg.eigvalsh(X))  # singular values of a Hermitian matrix
     if p == 1:
         return float(sv.sum())
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(sv.max()) if sv.size else 0.0
     raise ValueError(f"p must be 1, 2 or inf, got {p!r}")
 

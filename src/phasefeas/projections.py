@@ -10,17 +10,14 @@ same code path covers the underdetermined, critically determined, and
 least-squares regimes.  The Gram matrix is factored once per problem
 instance, and the dense m x m matrix G^+ is formed from that factorization.
 It is the only m x m operator kept (there is no G G^+), and an iteration
-applies it with one matrix-vector product, `p.pinv @ r`.  The correction
-L*(G^+ r) for a lifted residual r is `affine_correction`; POCS calls it with
-the residual it already holds, so it need not lift X again, and DR applies
-the adjoint to its accumulated multiplier instead (see `solvers`).  Like the
-adjoint it comes from, the correction is Hermitian only up to rounding;
-`project_affine` symmetrizes its result.
+applies it with one matrix-vector product, `p.pinv @ r`.  Like the adjoint
+it goes through, the correction L*(G^+ (L(X) - b)) is Hermitian only up to
+rounding; `project_affine` symmetrizes its result.
 
 The PSD projection rebuilds its output from the square-root factor
 W = V_+ diag(lambda_+)^{1/2} as W W*.  For a real W, numpy computes W @ W.T
 with BLAS `syrk`: half the flops of a general product, and the result is
-symmetric bit for bit; a complex W W* is symmetrized in place.  Its input
+symmetric bit for bit; a complex W W* goes through `hermitize`.  Its input
 need not be exactly Hermitian: `eigh` reads only the lower triangle.  It
 returns W alongside W W*, so a solver can lift its iterate through the
 factor (`sensing.apply_lifted_factor`, m n r work instead of m n^2).
@@ -70,19 +67,10 @@ def build_affine_projector(e, b):
                            cond=vmax / float(vals[rank - 1]), b=b)
 
 
-def affine_correction(p, e, r):
-    """L*(G^+ r): X minus this is the affine projection of X when r = L(X) - b.
-
-    The result is Hermitian up to rounding, and L of it is G G^+ r, the part
-    of r in the range of G.
-    """
-    return apply_adjoint(e, p.pinv @ r)
-
-
 def project_affine(p, e, X):
     """Nearest matrix (Hilbert-Schmidt) with L(X) = b, least squares if overdetermined."""
     X = require_square(X)
-    return hermitize(X - affine_correction(p, e, apply_lifted(e, X) - p.b.values))
+    return hermitize(X - apply_adjoint(e, p.pinv @ (apply_lifted(e, X) - p.b.values)))
 
 
 def project_psd(X):
@@ -93,18 +81,14 @@ def project_psd(X):
     eigenpairs (values are descending), so P = W W*.  Reads the lower
     triangle of X only, as `eigh` does.  The product costs about n*n*r/2
     (real, `syrk`) instead of n^3; r = 0 gives an (n, 0) W and exact zeros.
-    A real W W* is already exactly symmetric; a complex one is made exactly
-    Hermitian in place, bit for bit as `hermitize` would, so it equals
-    W W* only up to rounding.
+    A real W W* is already exactly symmetric; a complex one goes through
+    `hermitize`, so it equals W W* only up to rounding.
     """
-    d = eig(X)
-    r = int(np.count_nonzero(d.values > 0))
-    W = d.vectors[:, :r] * np.sqrt(d.values[:r])
+    values, vectors = eig(X)
+    r = int(np.count_nonzero(values > 0))
+    W = vectors[:, :r] * np.sqrt(values[:r])
     out = W @ W.conj().T
-    if np.iscomplexobj(out):
-        out += out.conj().T
-        out *= 0.5
-    return out, W
+    return (hermitize(out) if np.iscomplexobj(out) else out), W
 
 
 def leading_eigenvector(X):
@@ -114,13 +98,13 @@ def leading_eigenvector(X):
     magnitude ties) is real and positive, which makes outputs comparable
     across runs.
     """
-    d = eig(X)
-    v = d.vectors[:, 0]
+    values, vectors = eig(X)
+    v = vectors[:, 0]
     # eigh columns are unit-norm, so the pivot is not zero.  The modulus comes
     # from np.hypot, which rounds as scalar abs() does; np.abs of a complex
     # array can differ in the last bit, and the tests pin the phase bitwise.
     pivot = v[np.argmax(np.abs(v))]
-    return float(d.values[0]), v * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
+    return float(values[0]), v * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
 
 
 def recovery_error(X, X0):

@@ -8,28 +8,31 @@ picks one by ``cfg.method``:
 * ``solve_nesterov`` accelerated projected gradient on
                      g(X) = 1/2 ||L(X) - b||^2 + lambda tr(X).
 
-All start from X = Y = 0; only DR and POCS take a warm start ``X_start``.
-All run exactly ``cfg.max_iters`` steps.  Iterates are PSD after every step
-by construction (the last operation applied is always the PSD projection),
-and exactly Hermitian, since `project_psd` returns them so.  The matrix a
-DR or Nesterov step hands to `project_psd` carries the adjoint's rounding
+Every step is one map (X_{k-1}, L(X_{k-1})) -> (X_k, L(X_k)): it gets the
+iterate and its lift, and returns the next iterate and its lift, which
+serve both the trace and the next step.  The loop `_iterate` owns the rest:
+the method check, the start (X = 0, or a hermitized warm start
+``X_start``, which only DR and POCS take), exactly ``cfg.max_iters``
+steps, and the records.  A record holds the feasibility residual
+||L(X) - b||_2 / ||b||_2, tr(X), and the recovery error when the ground
+truth is supplied.  Iterates are PSD after every step by construction (the
+last operation applied is always the PSD projection), and exactly
+Hermitian, since `project_psd` returns them so.  The matrix a DR or
+Nesterov step hands to `project_psd` carries the adjoint's rounding
 asymmetry, which `eigh` never reads; POCS symmetrizes its affine point, so
-that it is bit for bit the textbook `P_psd(P_aff(X))`.  Recovery error is
-recorded only when the ground truth is supplied; the feasibility residual
-||L(X) - b||_2 / ||b||_2 is always recorded, along with tr(X).
+that it is bit for bit the textbook `P_psd(P_aff(X))`.
 
-Each step lifts its new iterate once and hands L(X_k) on, both to the trace
-and to the next step, which gets every other lifted vector it needs by
-linearity.  DR steps Y_k = X_{k-1} - L*(q_k) on its affine multiplier
+A step gets every other lifted vector it needs by linearity.  DR steps
+Y_k = X_{k-1} - L*(q_k) on its affine multiplier
 q_k = q_{k-1} + G^+ (2 L(X_{k-1}) - L(X_{k-2}) - b), since L(Y_k) =
 L(X_{k-1}) - G q_k and G^+ G q = q on the range of G^+; POCS applies
-L*(G^+ (L(X) - b)) to the L(X) it holds; Nesterov's extrapolated point has
+L*(G^+ (L(X) - b)) to the L(X) it gets; Nesterov's extrapolated point has
 L(Y_k) = L(X_k) + beta_k (L(X_k) - L(X_{k-1})).  DR and Nesterov lift
 X_k = W W* through the factor W that `project_psd` returns with it
 (`apply_lifted_factor`, m n r work for rank r instead of m n^2); POCS
 lifts the dense X_k, so that its affine point is `project_affine`'s bit
 for bit.  So a k-step solve makes k + 1 lifts, one of them (always dense)
-for iteration 0, plus one factor lift for a projected DR warm start.
+for the start, plus one factor lift for a projected DR warm start.
 """
 
 import math
@@ -38,12 +41,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .linalg import dtype_for, hermitize, require_same_shape, require_square, schatten_norm
-from .projections import (
-    affine_correction,
-    build_affine_projector,
-    leading_eigenvector,
-    project_psd,
-)
+from .projections import build_affine_projector, leading_eigenvector, project_psd
 from .sensing import apply_adjoint, apply_lifted, apply_lifted_factor
 
 DR = "dr"
@@ -100,47 +98,39 @@ class SolverTrace:
         return self.points[-1].residual if self.points else math.nan
 
 
-def _frobenius(x):
-    """||x||_F, bit for bit as `np.linalg.norm(x)` computes it, minus its wrapper."""
-    x = x.ravel()
-    if np.iscomplexobj(x):
-        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    return math.sqrt(x.dot(x))
-
-
 def _relative_residual(lifted, b, b_norm):
     """||L(X) - b||_2 / ||b||_2 from L(X); the bare norm when b = 0."""
-    gap = _frobenius(lifted - b.values)
+    gap = float(np.linalg.norm(lifted - b.values))
     return gap / b_norm if b_norm > 0 else gap
 
 
-def _init_state(n, dtype, X_start):
-    if X_start is None:
-        return np.zeros((n, n), dtype=dtype)
-    X_start = require_square(X_start)
-    if not np.all(np.isfinite(X_start)):
-        raise ValueError("non-finite warm start")
-    return hermitize(X_start).astype(dtype, copy=True)
+def _iterate(method, e, b, cfg, X0_true, X_start, step, start=None):
+    """The iteration loop shared by every solver: X_k, L(X_k) = step(X_{k-1}, L(X_{k-1})).
 
-
-def _check_method(cfg, method):
-    if cfg.method != method:
-        raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
-
-
-def _iterate(b, cfg, X0_true, X, lX, step):
-    """The iteration loop shared by every solver: X_k, L(X_k), res = step(X_{k-1}, L(X_{k-1})).
-
-    Runs exactly `cfg.max_iters` steps.  `lX` is L(X) of the starting
-    iterate.  Records iteration 0, every `record_every`-th iteration and the
-    last iteration, each once, with the relative residual `res` the step
-    returned, or, when that is None, the one of the lifted vector it
-    returned; the recovery error divides by ||X0_true||_F, computed once.
-    A record takes one Frobenius norm and no finiteness scan of X:
-    every X after iteration 0 comes out of `project_psd`, whose `eig`
-    rejects a non-finite input, and a non-finite residual or trace raises.
+    Checks that `cfg.method` is `method`, starts from X = 0 or from the
+    hermitized warm start `X_start`, in the field's dtype, lifts it dense,
+    and hands it to `start`, when given, which maps it the way `step` does
+    to the iterate and lift of iteration 0.  Runs exactly `cfg.max_iters`
+    steps.  Records iteration 0, every `record_every`-th iteration and the
+    last iteration, each once; the recovery error divides by ||X0_true||_F,
+    computed once, as is ||b||.  Every X after iteration 0 comes out of
+    `project_psd`, whose `eig` rejects a non-finite input, and a non-finite
+    residual or trace raises, so a record scans no X for finiteness.
     An exception raised by a step is re-raised as RuntimeError("iteration k: ...").
     """
+    if cfg.method != method:
+        raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
+    dtype = dtype_for(e.field)
+    if X_start is None:
+        X = np.zeros((e.n, e.n), dtype=dtype)
+    else:
+        X_start = require_square(X_start)
+        if not np.all(np.isfinite(X_start)):
+            raise ValueError("non-finite warm start")
+        X = hermitize(X_start).astype(dtype)
+    lX = apply_lifted(e, X)
+    if start is not None:
+        X, lX = start(X, lX)
     b_norm = float(np.linalg.norm(b.values))
     if X0_true is not None:
         X0_true = require_same_shape(X, X0_true)[1]
@@ -149,10 +139,9 @@ def _iterate(b, cfg, X0_true, X, lX, step):
             raise ValueError("X0 must be nonzero")
     trace = SolverTrace()
 
-    def record(k, X, lX, res=None):
-        err = _frobenius(X - X0_true) / x0_norm if X0_true is not None else math.nan
-        if res is None:
-            res = _relative_residual(lX, b, b_norm)
+    def record(k, X, lX):
+        err = float(np.linalg.norm(X - X0_true)) / x0_norm if X0_true is not None else math.nan
+        res = _relative_residual(lX, b, b_norm)
         tr = float(X.trace().real)
         if not (math.isfinite(res) and math.isfinite(tr)):
             raise RuntimeError(f"non-finite iterate at iteration {k}")
@@ -161,11 +150,11 @@ def _iterate(b, cfg, X0_true, X, lX, step):
     record(0, X, lX)
     for k in range(1, cfg.max_iters + 1):
         try:
-            X, lX, res = step(X, lX)
+            X, lX = step(X, lX)
         except Exception as err:
             raise RuntimeError(f"iteration {k}: {err}") from err
         if k % cfg.record_every == 0 or k == cfg.max_iters:
-            record(k, X, lX, res)
+            record(k, X, lX)
     trace.final_X = X
     return trace
 
@@ -180,16 +169,19 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
     It is the same point: P_aff(W) = W - L*(G^+ (L(W) - b)) at W = 2X - Y,
     L(Y_{k-1}) = L(X_{k-2}) - G q_{k-1} and G^+ G q_{k-1} = q_{k-1}.  The
     state between steps is q and L(X_{k-1}), two m-vectors; no Y is kept.
-    Each X_k, the projected warm start included, is lifted through its
-    PSD factor.
+    A warm start is Y_0, and X_0 = P_psd(Y_0); each X_k, X_0 included, is
+    lifted through its PSD factor.
     """
-    _check_method(cfg, DR)
-    X = _init_state(e.n, dtype_for(e.field), X_start)
-    lX = lX_prev = apply_lifted(e, X)
-    if X_start is not None:
-        X, W = project_psd(X)
-        lX = apply_lifted_factor(e, W)
     q = np.zeros(e.m)
+    lX_prev = None
+
+    def start(Y, lY):
+        nonlocal lX_prev
+        lX_prev = lY
+        if X_start is None:
+            return Y, lY
+        X, W = project_psd(Y)
+        return X, apply_lifted_factor(e, W)
 
     def step(X, lX):
         nonlocal q, lX_prev
@@ -199,29 +191,26 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
         q += p.pinv @ r
         lX_prev = lX
         X_new, W = project_psd(X - apply_adjoint(e, q))
-        return X_new, apply_lifted_factor(e, W), None
+        return X_new, apply_lifted_factor(e, W)
 
-    return _iterate(p.b, cfg, X0_true, X, lX, step)
+    return _iterate(DR, e, p.b, cfg, X0_true, X_start, step, start)
 
 
 def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
     """Alternating projections X_{k} = P_psd(P_aff(X_{k-1})).
 
-    P_aff(X) = hermitize(X - L*(G^+ (L(X) - b))) takes L(X) from the previous
-    step; it is `project_affine` bit for bit, so X is lifted dense.
+    P_aff(X) = hermitize(X - L*(G^+ (L(X) - b))), with X lifted dense, is
+    `project_affine` bit for bit.
     """
-    _check_method(cfg, POCS)
-    X = _init_state(e.n, dtype_for(e.field), X_start)
-
     def step(X, lX):
-        X_new = project_psd(hermitize(X - affine_correction(p, e, lX - p.b.values)))[0]
-        return X_new, apply_lifted(e, X_new), None
+        X_new = project_psd(hermitize(X - apply_adjoint(e, p.pinv @ (lX - p.b.values))))[0]
+        return X_new, apply_lifted(e, X_new)
 
-    return _iterate(p.b, cfg, X0_true, X, apply_lifted(e, X), step)
+    return _iterate(POCS, e, p.b, cfg, X0_true, X_start, step)
 
 
 def solve_nesterov(e, b, cfg, X0_true=None):
-    """Accelerated projected gradient with constant step size.
+    """Accelerated projected gradient with constant step size, from Y_0 = X_0 = 0.
 
     X_k     = P_psd(Y_{k-1} - alpha grad g(Y_{k-1})),
     theta_k = 2 (1 + sqrt(1 + 4/theta_{k-1}^2))^{-1},     theta_0 = 1,
@@ -232,15 +221,17 @@ def solve_nesterov(e, b, cfg, X0_true=None):
     factor of X_k, and L(Y_k) taken by linearity from L(X_k) and
     L(X_{k-1}).  The step subtracts alpha lambda from the diagonal of
     Y - alpha L*(L(Y) - b) in place.  Aborts when the feasibility residual
-    exceeds 1e6 (step size too large).  The guard checks every step, not
-    only recorded ones, and hands its residual to the record.
+    exceeds 1e6 (step size too large); the guard checks every step, not
+    only recorded ones.
     """
-    _check_method(cfg, NESTEROV)
-    X = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
-    Y, lX = X.copy(), apply_lifted(e, X)
-    lY = lX
     theta = 1.0
+    Y = lY = None
     b_norm = float(np.linalg.norm(b.values))
+
+    def start(X, lX):
+        nonlocal Y, lY
+        Y, lY = X, lX
+        return X, lX
 
     def step(X, lX):
         nonlocal Y, lY, theta
@@ -256,9 +247,9 @@ def solve_nesterov(e, b, cfg, X0_true=None):
         Y = X_new + beta * (X_new - X)
         lY = lX_new + beta * (lX_new - lX)
         theta = theta_new
-        return X_new, lX_new, res
+        return X_new, lX_new
 
-    return _iterate(b, cfg, X0_true, X, lX, step)
+    return _iterate(NESTEROV, e, b, cfg, X0_true, None, step, start)
 
 
 def solve(e, b, cfg, X0_true=None):

@@ -289,3 +289,35 @@ class TestReadMeasurements:
         path.write_text("z_1,z_2,b\n1.0,2.0\n")
         with pytest.raises(ValueError, match="columns"):
             read_measurements(path, 2)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_crlf_and_quoted_fields(self, tmp_path, field):
+        e = sample_ensemble(3, 7, field, seed=9)
+        b = measure(e, np.ones(3))
+        plain = tmp_path / "plain.csv"
+        write_measurements(plain, e, b)
+        lines = plain.read_text().splitlines()
+        lines[0] = ",".join(f'"{h}"' for h in lines[0].split(","))
+        lines[2] = ",".join(f'"{t}"' for t in lines[2].split(","))
+        dialect = tmp_path / "dialect.csv"
+        dialect.write_bytes(("\r\n".join(lines[:4] + [""] + lines[4:]) + "\r\n").encode())
+        for got in (read_measurements(plain, 3), read_measurements(dialect, 3)):
+            assert np.array_equal(got[0].vectors, e.vectors)
+            assert np.array_equal(got[1].values, b.values)
+
+    def test_hash_is_not_a_comment(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("z_1,z_2,b\n1.0,0.5,2.0\n0.3,1.0 # note,2.0\n")
+        assert main(["solve", "--input", str(path), "--n", "2", "--seed", "0"]) == 2
+        assert "h.csv:3: non-numeric entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, where", [
+        ("1.0,2.0,3.0\n\n1.0,2.0\n", "m.csv:4: expected 3 columns, got 2"),
+        ("1.0,2.0\n1.0,2.0,3.0\n", "m.csv:2: expected 3 columns, got 2"),
+        ("1.0,0.5,2.0\n\n0.3,nan,2.0\n", "m.csv:4: non-finite entry"),
+    ], ids=["short-row-after-blank", "short-first-row", "non-finite-after-blank"])
+    def test_bad_row_names_its_line(self, tmp_path, rows, where):
+        path = tmp_path / "m.csv"
+        path.write_text("z_1,z_2,b\n" + rows)
+        with pytest.raises(ValueError, match=where):
+            read_measurements(path, 2)

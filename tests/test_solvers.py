@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -447,35 +446,27 @@ class TestCallStructure:
         assert (counts["eig"], counts["eigh"]) == (1, 1)
 
 
-class TestRecordNorms:
-    """A record's two norms are `np.linalg.norm`'s, bit for bit, without its wrapper."""
+class TestRecordOracle:
+    """The last record of every solver against norms taken afresh from final_X."""
 
-    @staticmethod
-    def _same(ours, theirs):
-        # equal bits and the same warnings (an overflow in `dot` at 1e200)
-        with warnings.catch_warnings(record=True) as ours_warned:
-            warnings.simplefilter("always")
-            got = ours()
-        with warnings.catch_warnings(record=True) as theirs_warned:
-            warnings.simplefilter("always")
-            want = theirs()
-        assert type(got) is float
-        assert got == want
-        assert [w.category for w in ours_warned] == [w.category for w in theirs_warned]
-
-    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_bitwise_np_linalg_norm(self, field, scale):
-        rng = np.random.default_rng(71)
-        for n in (1, 3, 20):
-            X = scale * rand_hermitian(rng, n, field)
-            self._same(lambda: solvers._frobenius(X), lambda: np.linalg.norm(X))
-            e = sample_ensemble(n, 4 * n, field, seed=n)
-            b = add_noise(measure(e, rand_unit(rng, n, field)), 0.1, 1.0, seed=n)
-            lX = apply_lifted(e, X)
-            b_norm = float(np.linalg.norm(b.values))
-            self._same(lambda: solvers._relative_residual(lX, b, b_norm),
-                       lambda: np.linalg.norm(lX - b.values) / b_norm)
+    @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(instance=instances(), k=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+    def test_last_point_matches_norms_of_final_X(self, method, instance, k, seed):
+        e, b = instance
+        x0 = rand_unit(np.random.default_rng(seed), e.n, e.field)
+        X0 = np.outer(x0, x0.conj())
+        cfg = SolverConfig(method=method, max_iters=k, record_every=k,
+                           alpha=1.0 / gram_matrix(e).trace())
+        t = solve(e, b, cfg, X0_true=X0)
+        X, last = t.final_X, t.points[-1]
+        assert last.recovery_error == np.linalg.norm(X - X0) / np.linalg.norm(X0)
+        assert last.trace_value == X.trace().real
+        dense = np.linalg.norm(apply_lifted(e, X) - b.values) / np.linalg.norm(b.values)
+        if method == "pocs":
+            assert last.residual == dense
+        else:
+            assert abs(last.residual - dense) <= 1e-12
 
 
 EQUIVALENCE = settings(max_examples=80, deadline=None, derandomize=True, database=None)

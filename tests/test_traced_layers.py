@@ -2,13 +2,15 @@
 
 `perfbench/run.py --trace 1` wraps every `(module, function)` in its `LAYERS`
 list; a layer that no longer exists breaks the traced run.  The workloads in
-`perfbench/workloads.py` read `pf.<name>` from the `phasefeas` package, and
-`solve-large` drives `cli.main` with a fixed argv.  Both files are read with
-`ast`, so the benchmark is neither imported nor run.
+`perfbench/workloads.py` read `pf.<name>` from the `phasefeas` package and
+call it with fixed positional counts and keyword names, and `solve-large`
+drives `cli.main` with a fixed argv.  Both files are read with `ast`, so the
+benchmark is neither imported nor run.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,39 @@ def workload_package_names():
                    if isinstance(node, ast.Attribute) and is_package_ref(node.value)})
 
 
+def package_refs(node):
+    """The package names `node` may stand for: `pf.a`, or `pf.a if ... else pf.b`."""
+    branches = [node.body, node.orelse] if isinstance(node, ast.IfExp) else [node]
+    if all(isinstance(b, ast.Attribute) and is_package_ref(b.value) for b in branches):
+        return [b.attr for b in branches]
+    return []
+
+
+def workload_calls():
+    """Every call of a package callable in the workloads: (name, line, positional count, keywords).
+
+    A call through a local name assigned from `package_refs` counts once for
+    each name it may stand for.
+    """
+    tree = parse(WORKLOADS_PY)
+    aliases = {node.targets[0].id: package_refs(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and len(node.targets) == 1
+               and isinstance(node.targets[0], ast.Name) and package_refs(node.value)}
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            names = aliases.get(node.func.id, [])
+        else:
+            names = package_refs(node.func)
+        for name in names:
+            assert not any(isinstance(a, ast.Starred) for a in node.args), name
+            assert all(k.arg is not None for k in node.keywords), name
+            calls.append((name, node.lineno, len(node.args), [k.arg for k in node.keywords]))
+    return calls
+
+
 def solve_large_argv():
     """The argv `SolveLarge._solve` passes to `cli.main`; computed entries become "0"."""
     for cls in parse(WORKLOADS_PY).body:
@@ -72,6 +107,21 @@ def test_workloads_use_package_names():
 @pytest.mark.parametrize("name", workload_package_names())
 def test_workload_package_name_exists(name):
     assert hasattr(phasefeas, name), f"phasefeas.{name} is gone"
+
+
+def test_workloads_call_package_callables():
+    assert {name for name, *_ in workload_calls()} >= {"solve_dr", "solve_pocs", "add_noise"}
+
+
+@pytest.mark.parametrize("name, line, positional, keywords",
+                         [pytest.param(*call, id=f"{call[0]}-line{call[1]}") for call in workload_calls()])
+def test_workload_call_binds(name, line, positional, keywords):
+    signature = inspect.signature(getattr(phasefeas, name))
+    try:
+        signature.bind(*range(positional), **dict.fromkeys(keywords))
+    except TypeError as err:
+        pytest.fail(f"{WORKLOADS_PY.name}:{line}: {name}{signature} rejects "
+                    f"{positional} positional and keywords {keywords}: {err}")
 
 
 def test_solve_large_argv_parses():
