@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eig, hermitize, require_same_shape, require_square, schatten_norm
-from .sensing import MeasurementVector, apply_adjoint, apply_lifted
+from .sensing import MeasurementVector, apply_adjoint, apply_lifted, require_measurements
 
 GRAM_CUTOFF = 1e-12
 
@@ -47,8 +47,7 @@ def build_affine_projector(e, b):
     G^+ is built from the eigenpairs above the cutoff only, and is zero on
     the rest.
     """
-    if b.values.shape != (e.m,):
-        raise ValueError(f"dimension mismatch: b has shape {b.values.shape}, ensemble m={e.m}")
+    require_measurements(e, b)
     inner = e.vectors.conj() @ e.vectors.T
     gram = hermitize(np.abs(inner) ** 2)
     if not np.all(np.isfinite(gram)):

@@ -74,6 +74,12 @@ class MeasurementVector:
     values: np.ndarray   # (m,) real
 
 
+def require_measurements(e, b):
+    """Check that the measurement vector b holds one value per sensing vector of e."""
+    if b.values.shape != (e.m,):
+        raise ValueError(f"dimension mismatch: b has shape {b.values.shape}, ensemble m={e.m}")
+
+
 def sample_ensemble(n, m, field=REAL, seed=0):
     """Draw m sensing vectors with i.i.d. standard normal coordinates.
 

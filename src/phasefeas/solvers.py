@@ -8,19 +8,22 @@ picks one by ``cfg.method``:
 * ``solve_nesterov`` accelerated projected gradient on
                      g(X) = 1/2 ||L(X) - b||^2 + lambda tr(X).
 
-Every step is one map (X_{k-1}, L(X_{k-1})) -> (X_k, L(X_k)): it gets the
-iterate and its lift, and returns the next iterate and its lift, which
-serve both the trace and the next step.  The loop `_iterate` owns the rest:
-the method check, the start (X = 0, or a hermitized warm start
-``X_start``, which only DR and POCS take), exactly ``cfg.max_iters``
-steps, and the records.  A record holds the feasibility residual
-||L(X) - b||_2 / ||b||_2, tr(X), and the recovery error when the ground
-truth is supplied.  Iterates are PSD after every step by construction (the
-last operation applied is always the PSD projection), and exactly
-Hermitian, since `project_psd` returns them so.  The matrix a DR or
-Nesterov step hands to `project_psd` carries the adjoint's rounding
-asymmetry, which `eigh` never reads; POCS symmetrizes its affine point, so
-that it is bit for bit the textbook `P_psd(P_aff(X))`.
+Each solver is a generator `steps(X_0, L(X_0))`: it yields iteration 0 and
+then one (X_k, L(X_k)) per `next`, and keeps the state its recurrence
+carries (DR's multiplier, Nesterov's extrapolated point and theta) in local
+variables.  Each L(X_k) serves both the trace and the next step.  The loop
+`_iterate` owns the rest: the method check, the check that b holds one
+value per sensing vector, the start (X = 0, or the hermitized warm start
+``X_start``, lifted dense), exactly ``cfg.max_iters`` steps, and the
+records.  DR's ``X_start`` is Y_0, and its generator yields
+X_0 = P_psd(Y_0); POCS's is X_0 itself; Nesterov takes none.  A record
+holds the feasibility residual ||L(X) - b||_2 / ||b||_2, tr(X), and the
+recovery error when the ground truth is supplied.  Iterates are PSD after
+every step by construction (the last operation applied is always the PSD
+projection), and exactly Hermitian, since `project_psd` returns them so.
+The matrix a DR or Nesterov step hands to `project_psd` carries the
+adjoint's rounding asymmetry, which `eigh` never reads; POCS symmetrizes
+its affine point, so that it is bit for bit the textbook `P_psd(P_aff(X))`.
 
 A step gets every other lifted vector it needs by linearity.  DR steps
 Y_k = X_{k-1} - L*(q_k) on its affine multiplier
@@ -42,7 +45,7 @@ import numpy as np
 
 from .linalg import dtype_for, hermitize, require_same_shape, require_square, schatten_norm
 from .projections import build_affine_projector, leading_eigenvector, project_psd
-from .sensing import apply_adjoint, apply_lifted, apply_lifted_factor
+from .sensing import apply_adjoint, apply_lifted, apply_lifted_factor, require_measurements
 
 DR = "dr"
 POCS = "pocs"
@@ -104,22 +107,24 @@ def _relative_residual(lifted, b, b_norm):
     return gap / b_norm if b_norm > 0 else gap
 
 
-def _iterate(method, e, b, cfg, X0_true, X_start, step, start=None):
-    """The iteration loop shared by every solver: X_k, L(X_k) = step(X_{k-1}, L(X_{k-1})).
+def _iterate(method, e, b, cfg, X0_true, X_start, steps):
+    """The iteration loop shared by every solver: X_k, L(X_k) = next(steps(X, L(X))).
 
-    Checks that `cfg.method` is `method`, starts from X = 0 or from the
-    hermitized warm start `X_start`, in the field's dtype, lifts it dense,
-    and hands it to `start`, when given, which maps it the way `step` does
-    to the iterate and lift of iteration 0.  Runs exactly `cfg.max_iters`
-    steps.  Records iteration 0, every `record_every`-th iteration and the
-    last iteration, each once; the recovery error divides by ||X0_true||_F,
-    computed once, as is ||b||.  Every X after iteration 0 comes out of
-    `project_psd`, whose `eig` rejects a non-finite input, and a non-finite
-    residual or trace raises, so a record scans no X for finiteness.
-    An exception raised by a step is re-raised as RuntimeError("iteration k: ...").
+    Checks that `cfg.method` is `method` and that `b` holds e.m values,
+    starts from X = 0 or from the hermitized warm start `X_start`, in the
+    field's dtype, lifts it dense, and draws iterations 0 to
+    `cfg.max_iters` from the generator `steps(X, L(X))`.  Records
+    iteration 0, every `record_every`-th iteration and the last iteration,
+    each once; the recovery error divides by ||X0_true||_F, computed once,
+    as is ||b||.  Every X after iteration 0 comes out of `project_psd`,
+    whose `eig` rejects a non-finite input, and a non-finite residual or
+    trace raises, so a record scans no X for finiteness.  An exception
+    raised while drawing iteration k is re-raised as
+    RuntimeError("iteration k: ...").
     """
     if cfg.method != method:
         raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
+    require_measurements(e, b)
     dtype = dtype_for(e.field)
     if X_start is None:
         X = np.zeros((e.n, e.n), dtype=dtype)
@@ -128,33 +133,26 @@ def _iterate(method, e, b, cfg, X0_true, X_start, step, start=None):
         if not np.all(np.isfinite(X_start)):
             raise ValueError("non-finite warm start")
         X = hermitize(X_start).astype(dtype)
-    lX = apply_lifted(e, X)
-    if start is not None:
-        X, lX = start(X, lX)
     b_norm = float(np.linalg.norm(b.values))
     if X0_true is not None:
         X0_true = require_same_shape(X, X0_true)[1]
         x0_norm = schatten_norm(X0_true, 2)
         if x0_norm == 0:
             raise ValueError("X0 must be nonzero")
+    iterates = steps(X, apply_lifted(e, X))
     trace = SolverTrace()
-
-    def record(k, X, lX):
-        err = float(np.linalg.norm(X - X0_true)) / x0_norm if X0_true is not None else math.nan
-        res = _relative_residual(lX, b, b_norm)
-        tr = float(X.trace().real)
-        if not (math.isfinite(res) and math.isfinite(tr)):
-            raise RuntimeError(f"non-finite iterate at iteration {k}")
-        trace.points.append(TracePoint(k, err, res, tr))
-
-    record(0, X, lX)
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(cfg.max_iters + 1):
         try:
-            X, lX = step(X, lX)
+            X, lX = next(iterates)
         except Exception as err:
             raise RuntimeError(f"iteration {k}: {err}") from err
         if k % cfg.record_every == 0 or k == cfg.max_iters:
-            record(k, X, lX)
+            error = float(np.linalg.norm(X - X0_true)) / x0_norm if X0_true is not None else math.nan
+            res = _relative_residual(lX, b, b_norm)
+            tr = float(X.trace().real)
+            if not (math.isfinite(res) and math.isfinite(tr)):
+                raise RuntimeError(f"non-finite iterate at iteration {k}")
+            trace.points.append(TracePoint(k, error, res, tr))
     trace.final_X = X
     return trace
 
@@ -172,41 +170,39 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
     A warm start is Y_0, and X_0 = P_psd(Y_0); each X_k, X_0 included, is
     lifted through its PSD factor.
     """
-    q = np.zeros(e.m)
-    lX_prev = None
-
-    def start(Y, lY):
-        nonlocal lX_prev
+    def steps(Y, lY):
+        X, lX = Y, lY
+        if X_start is not None:
+            X, W = project_psd(Y)
+            lX = apply_lifted_factor(e, W)
+        q = np.zeros(e.m)
         lX_prev = lY
-        if X_start is None:
-            return Y, lY
-        X, W = project_psd(Y)
-        return X, apply_lifted_factor(e, W)
+        while True:
+            yield X, lX
+            r = 2 * lX
+            r -= lX_prev
+            r -= p.b.values
+            q += p.pinv @ r
+            lX_prev = lX
+            X, W = project_psd(X - apply_adjoint(e, q))
+            lX = apply_lifted_factor(e, W)
 
-    def step(X, lX):
-        nonlocal q, lX_prev
-        r = 2 * lX
-        r -= lX_prev
-        r -= p.b.values
-        q += p.pinv @ r
-        lX_prev = lX
-        X_new, W = project_psd(X - apply_adjoint(e, q))
-        return X_new, apply_lifted_factor(e, W)
-
-    return _iterate(DR, e, p.b, cfg, X0_true, X_start, step, start)
+    return _iterate(DR, e, p.b, cfg, X0_true, X_start, steps)
 
 
 def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
-    """Alternating projections X_{k} = P_psd(P_aff(X_{k-1})).
+    """Alternating projections X_{k} = P_psd(P_aff(X_{k-1})), from X_0 = X_start.
 
     P_aff(X) = hermitize(X - L*(G^+ (L(X) - b))), with X lifted dense, is
     `project_affine` bit for bit.
     """
-    def step(X, lX):
-        X_new = project_psd(hermitize(X - apply_adjoint(e, p.pinv @ (lX - p.b.values))))[0]
-        return X_new, apply_lifted(e, X_new)
+    def steps(X, lX):
+        while True:
+            yield X, lX
+            X = project_psd(hermitize(X - apply_adjoint(e, p.pinv @ (lX - p.b.values))))[0]
+            lX = apply_lifted(e, X)
 
-    return _iterate(POCS, e, p.b, cfg, X0_true, X_start, step)
+    return _iterate(POCS, e, p.b, cfg, X0_true, X_start, steps)
 
 
 def solve_nesterov(e, b, cfg, X0_true=None):
@@ -224,32 +220,25 @@ def solve_nesterov(e, b, cfg, X0_true=None):
     exceeds 1e6 (step size too large); the guard checks every step, not
     only recorded ones.
     """
-    theta = 1.0
-    Y = lY = None
-    b_norm = float(np.linalg.norm(b.values))
+    def steps(X, lX):
+        Y, lY, theta = X, lX, 1.0
+        b_norm = float(np.linalg.norm(b.values))
+        while True:
+            yield X, lX
+            V = Y - cfg.alpha * apply_adjoint(e, lY - b.values)
+            V.flat[:: e.n + 1] -= cfg.alpha * cfg.lambda_trace
+            X_new, W = project_psd(V)
+            lX_new = apply_lifted_factor(e, W)
+            res = _relative_residual(lX_new, b, b_norm)
+            if not math.isfinite(res) or res > DIVERGENCE_LIMIT:
+                raise RuntimeError(f"step size too large: residual {res:.3e}")
+            theta_new = _next_theta(theta)
+            beta = theta_new * (1.0 / theta - 1.0)
+            Y = X_new + beta * (X_new - X)
+            lY = lX_new + beta * (lX_new - lX)
+            X, lX, theta = X_new, lX_new, theta_new
 
-    def start(X, lX):
-        nonlocal Y, lY
-        Y, lY = X, lX
-        return X, lX
-
-    def step(X, lX):
-        nonlocal Y, lY, theta
-        V = Y - cfg.alpha * apply_adjoint(e, lY - b.values)
-        V.flat[:: e.n + 1] -= cfg.alpha * cfg.lambda_trace
-        X_new, W = project_psd(V)
-        lX_new = apply_lifted_factor(e, W)
-        res = _relative_residual(lX_new, b, b_norm)
-        if not math.isfinite(res) or res > DIVERGENCE_LIMIT:
-            raise RuntimeError(f"step size too large: residual {res:.3e}")
-        theta_new = _next_theta(theta)
-        beta = theta_new * (1.0 / theta - 1.0)
-        Y = X_new + beta * (X_new - X)
-        lY = lX_new + beta * (lX_new - lX)
-        theta = theta_new
-        return X_new, lX_new
-
-    return _iterate(NESTEROV, e, b, cfg, X0_true, None, step, start)
+    return _iterate(NESTEROV, e, b, cfg, X0_true, None, steps)
 
 
 def solve(e, b, cfg, X0_true=None):

@@ -4,16 +4,21 @@ import numpy as np
 from hypothesis import strategies as st
 
 from phasefeas.linalg import COMPLEX, REAL, hermitize
+from phasefeas.projections import project_affine, project_psd
 from phasefeas.sensing import SensingEnsemble, add_noise, measure
 
 FIELDS = (REAL, COMPLEX)
 
 
-def rand_hermitian(rng, n, field=REAL, scale=1.0):
+def rand_square(rng, n, field=REAL):
     A = rng.standard_normal((n, n))
     if field == COMPLEX:
         A = A + 1j * rng.standard_normal((n, n))
-    return hermitize(scale * A)
+    return A
+
+
+def rand_hermitian(rng, n, field=REAL, scale=1.0):
+    return hermitize(scale * rand_square(rng, n, field))
 
 
 def rand_vector(rng, n, field=REAL):
@@ -43,6 +48,21 @@ def eig_loop_reference(X):
         if pivot != 0:
             vectors[:, j] *= np.conj(pivot) / abs(pivot)
     return values, vectors
+
+
+def textbook_dr(p, e, Y, k):
+    """The points (X_j, Y_j), j = 1..k, of the textbook Douglas-Rachford loop from Y_0 = Y.
+
+    X_0 = P_psd(Y_0), then Y_j = P_aff(2 X_{j-1} - Y_{j-1}) - X_{j-1} + Y_{j-1}
+    and X_j = P_psd(Y_j), with every point lifted dense by `project_affine`.
+    """
+    path = []
+    X = project_psd(Y)[0]
+    for _ in range(k):
+        Y = project_affine(p, e, 2 * X - Y) - X + Y
+        X = project_psd(Y)[0]
+        path.append((X, Y))
+    return path
 
 
 def gram_matrix(e):

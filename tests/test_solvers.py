@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _utils import FIELDS, gram_matrix, instances, rand_hermitian, rand_unit
+from _utils import (
+    FIELDS,
+    gram_matrix,
+    instances,
+    rand_hermitian,
+    rand_square,
+    rand_unit,
+    textbook_dr,
+)
 from phasefeas import projections, solvers
 from phasefeas.harness import run_trial
 from phasefeas.linalg import dtype_for, hermitize
@@ -16,6 +24,8 @@ from phasefeas.projections import (
     vector_error_up_to_phase,
 )
 from phasefeas.sensing import (
+    MeasurementVector,
+    SensingEnsemble,
     add_noise,
     apply_adjoint,
     apply_lifted,
@@ -334,6 +344,31 @@ class TestTraceExport:
         assert its[-1] == 10
 
 
+class TestMeasurementCheck:
+    """Every solver rejects measurements that are not one per sensing vector."""
+
+    @pytest.mark.parametrize("length", [1, 11, 13])
+    @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
+    def test_wrong_length_b(self, method, length):
+        e, b, _ = setup_instance(3, 12, 2)
+        bad = MeasurementVector(values=np.resize(b.values, length))
+        cfg = SolverConfig(method=method, max_iters=5, alpha=1e-3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solve(e, bad, cfg)
+
+    @pytest.mark.parametrize("X_start", [None, np.eye(3)], ids=["cold", "warm"])
+    @pytest.mark.parametrize("method", ["dr", "pocs"])
+    def test_projector_from_another_ensemble(self, method, X_start):
+        # a projector built on m = 12 vectors, handed an ensemble of 10:
+        # rejected before the warm start is projected or a step is taken
+        e, b, _ = setup_instance(3, 12, 2)
+        p = build_affine_projector(e, b)
+        other = SensingEnsemble(vectors=e.vectors[:10])
+        method_fn = solve_dr if method == "dr" else solve_pocs
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            method_fn(p, other, SolverConfig(method=method, max_iters=5), X_start=X_start)
+
+
 class TestSolveDispatch:
     @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
     def test_matches_direct_call(self, method):
@@ -480,16 +515,18 @@ class TestStepEquivalence:
     """Each solver against its textbook loop, which lifts every point it needs."""
 
     @EQUIVALENCE
-    @given(instances(), st.integers(1, 25))
-    def test_dr_matches_textbook_loop(self, instance, k):
+    @given(instances(), st.integers(1, 25), st.integers(0, 2**32 - 1))
+    def test_dr_matches_textbook_loop(self, instance, k, seed):
+        # from a cold start, and from the warm start Y_0 = hermitize(S),
+        # X_0 = P_psd(Y_0)
         e, b = instance
         p = build_affine_projector(e, b)
-        X = Y = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
-        for _ in range(k):
-            Y = project_affine(p, e, 2 * X - Y) - X + Y
-            X = project_psd(Y)[0]
-        t = solve_dr(p, e, SolverConfig(max_iters=k, record_every=k))
-        assert _rel_gap(t.final_X, X) <= 1e-10
+        S = rand_square(np.random.default_rng(seed), e.n, e.field)
+        zero = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
+        for X_start, Y0 in ((None, zero), (S, hermitize(S))):
+            X = textbook_dr(p, e, Y0, k)[-1][0]
+            t = solve_dr(p, e, SolverConfig(max_iters=k, record_every=k), X_start=X_start)
+            assert _rel_gap(t.final_X, X) <= 1e-10
 
     @pytest.mark.parametrize("n, m, field", [(4, 20, "real"), (6, 30, "real"), (3, 14, "complex")])
     def test_dr_matches_textbook_loop_where_the_sets_do_not_meet(self, n, m, field):
@@ -502,27 +539,26 @@ class TestStepEquivalence:
         b = add_noise(measure(e, rand_unit(rng, n, field)), 0.1, 1.0, seed=derive_seed(n, 2))
         p = build_affine_projector(e, b)
         assert p.rank < m
-        X = Y = np.zeros((n, n), dtype=dtype_for(field))
         k = 2000
-        for i in range(k):
-            Y = project_affine(p, e, 2 * X - Y) - X + Y
-            X = project_psd(Y)[0]
-            if i == 99:
-                early = np.linalg.norm(Y)
-        assert np.linalg.norm(Y) > 4 * early
+        path = textbook_dr(p, e, np.zeros((n, n), dtype=dtype_for(field)), k)
+        assert np.linalg.norm(path[-1][1]) > 4 * np.linalg.norm(path[99][1])
         t = solve_dr(p, e, SolverConfig(max_iters=k, record_every=k))
-        assert _rel_gap(t.final_X, X) <= 1e-10
+        assert _rel_gap(t.final_X, path[-1][0]) <= 1e-10
 
     @EQUIVALENCE
-    @given(instances(), st.integers(1, 25))
-    def test_pocs_is_bitwise_the_textbook_loop(self, instance, k):
+    @given(instances(), st.integers(1, 25), st.integers(0, 2**32 - 1))
+    def test_pocs_is_bitwise_the_textbook_loop(self, instance, k, seed):
+        # from a cold start, and from the warm start X_0 = hermitize(S)
         e, b = instance
         p = build_affine_projector(e, b)
-        X = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
-        for _ in range(k):
-            X = project_psd(project_affine(p, e, X))[0]
-        t = solve_pocs(p, e, SolverConfig(method="pocs", max_iters=k, record_every=k))
-        assert np.array_equal(t.final_X, X)
+        S = rand_square(np.random.default_rng(seed), e.n, e.field)
+        zero = np.zeros((e.n, e.n), dtype=dtype_for(e.field))
+        for X_start, X in ((None, zero), (S, hermitize(S))):
+            for _ in range(k):
+                X = project_psd(project_affine(p, e, X))[0]
+            t = solve_pocs(p, e, SolverConfig(method="pocs", max_iters=k, record_every=k),
+                           X_start=X_start)
+            assert np.array_equal(t.final_X, X)
 
     @EQUIVALENCE
     @given(instances(), st.integers(1, 25), st.sampled_from([0.0, 1e-3]))
