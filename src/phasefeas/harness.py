@@ -8,6 +8,14 @@ is therefore invariant to worker count and ordering, and rerunning any
 command with the same seed reproduces its CSV/PGM artifacts byte for byte
 (which is why the nondeterministic wall_ms column stays out of the files).
 
+A grid runs its trials in groups, one stacked solve per group (see
+`solvers`): the trials of one n whose m share the octave ceil(log2 m), so
+that a group's largest m, to which every trial's rows are zero-padded, is
+less than twice any of its own.  Each trial is drawn and its affine
+projector built on its own, exactly as a lone trial; only the iteration
+loop is shared, so one set of calls serves every trial of the group.  The
+groups, and so every row, do not depend on the worker count.
+
 Every trial, serial or in a pool worker, runs on one OpenBLAS thread.  Two
 reasons: forked workers that each start their own BLAS threads oversubscribe
 the cores, so the pool would not scale; and OpenBLAS rounds the larger
@@ -27,8 +35,11 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .certificate import CertificateParams, build_certificate, check_certificate
-from .sensing import REAL, add_noise, derive_seed, measure, sample_ensemble
-from .solvers import DR, NESTEROV, SolverConfig, solve, write_trace_csv
+from .projections import AffineProjector, build_affine_projector
+from .sensing import (REAL, MeasurementVector, SensingEnsemble, add_noise, derive_seed, measure,
+                      sample_ensemble)
+from .solvers import (DR, NESTEROV, SolverConfig, solve, solve_dr, solve_nesterov, solve_pocs,
+                      write_trace_csv)
 
 
 @dataclass
@@ -61,7 +72,7 @@ class TrialRow:
     iters: int
     recovery_error: float  # nan marks a failed solve
     residual: float
-    wall_ms: float         # informational only, never serialized
+    wall_ms: float         # an equal share of the group's time; informational only, never serialized
 
 
 @dataclass
@@ -115,31 +126,85 @@ def _single_blas_thread():
         put(before)
 
 
-def run_trial(n, m, eps, solver, seed, trial=0):
-    """One fully seeded experiment: sample, measure, corrupt, solve.
+def _stacked_solve(n, ms, eps, solver, seeds):
+    """(recovery error, residual) of each trial, from one stacked solve.
 
-    Sub-streams of `seed`: 0 = signal direction, 1 = ensemble, 2 = noise.
-    Solver failures are recorded as NaN rows rather than raised.  The trial
-    runs on one BLAS thread (see the module docstring).
+    Trial i has `ms[i]` measurements and the seed `seeds[i]`, whose
+    sub-streams are 0 = signal direction, 1 = ensemble, 2 = noise.  Z, b and
+    G^+ are zero-padded to the largest m, which is exact (see `sensing`).
+    A group of one is solved unstacked, exactly as a lone trial.
     """
-    start = time.perf_counter()
-    with _single_blas_thread():
+    M = max(ms)
+
+    def stack(arrays):
+        return np.stack(arrays) if len(arrays) > 1 else arrays[0]
+
+    X0, Z, values, projectors = [], [], [], []
+    for m, seed in zip(ms, seeds):
         x0, e = _draw_instance(n, m, seed)
         b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(seed, 2))
-        X0 = np.outer(x0, x0)
-        try:
-            last = solve(e, b, solver, X0_true=X0).points[-1]
-            err, res = last.recovery_error, last.residual
-        except RuntimeError:
-            err, res = math.nan, math.nan
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return TrialRow(n=n, m=m, trial=trial, seed=seed, iters=solver.max_iters,
-                    recovery_error=err, residual=res, wall_ms=wall_ms)
+        X0.append(np.outer(x0, x0))
+        Z.append(np.pad(e.vectors, ((0, M - m), (0, 0))))
+        values.append(np.pad(b.values, (0, M - m)))
+        if solver.method != NESTEROV:
+            projectors.append(build_affine_projector(e, b))
+    e = SensingEnsemble(vectors=stack(Z))
+    b = MeasurementVector(values=stack(values))
+    if solver.method == NESTEROV:
+        trace = solve_nesterov(e, b, solver, X0_true=stack(X0))
+    else:
+        p = AffineProjector(pinv=stack([np.pad(q.pinv, (0, M - q.pinv.shape[0]))
+                                        for q in projectors]),
+                            rank=stack([q.rank for q in projectors]),
+                            cond=stack([q.cond for q in projectors]), b=b)
+        method = solve_dr if solver.method == DR else solve_pocs
+        trace = method(p, e, solver, X0_true=stack(X0))
+    last = trace.points[-1]
+    return list(zip(np.ravel(last.recovery_error).tolist(), np.ravel(last.residual).tolist()))
+
+
+def _solve_group(n, ms, eps, solver, seeds):
+    """`_stacked_solve`, with failures recorded as (nan, nan) rather than raised.
+
+    A RuntimeError fails a whole stack (a batched `eigh` rejects it for one
+    non-finite slice), so a failed group of several trials reruns them as
+    groups of one, and only the trials that fail alone get NaN.
+    """
+    try:
+        return _stacked_solve(n, ms, eps, solver, seeds)
+    except RuntimeError:
+        if len(ms) == 1:
+            return [(math.nan, math.nan)]
+        return [pair for m, seed in zip(ms, seeds)
+                for pair in _solve_group(n, [m], eps, solver, [seed])]
+
+
+def run_trial(n, m, eps, solver, seed, trial=0):
+    """One group of fully seeded experiments of one n: sample, measure, corrupt, solve.
+
+    `m`, `seed` and `trial` are one value each, for one trial and one
+    TrialRow, or equal-length sequences, for a group solved as one stack and
+    a list of TrialRows in that order.  Each trial draws from sub-streams
+    of its own seed: 0 = signal direction, 1 = ensemble, 2 = noise.  Solver
+    failures are recorded as NaN rows rather than raised.  Each row's
+    `wall_ms` is an equal share of the group's time.  The group runs on one
+    BLAS thread (see the module docstring).
+    """
+    start = time.perf_counter()
+    group = np.ndim(m) > 0
+    ms, seeds, trials = (m, seed, trial) if group else ([m], [seed], [trial])
+    with _single_blas_thread():
+        results = _solve_group(n, ms, eps, solver, seeds)
+    wall_ms = (time.perf_counter() - start) * 1e3 / len(ms)
+    rows = [TrialRow(n=n, m=m_i, trial=t, seed=s, iters=solver.max_iters,
+                     recovery_error=err, residual=res, wall_ms=wall_ms)
+            for m_i, s, t, (err, res) in zip(ms, seeds, trials, results)]
+    return rows if group else rows[0]
 
 
 def _grid_task(args):
-    n, m, trial, seed, eps, solver = args
-    return run_trial(n, m, eps, solver, seed, trial=trial)
+    n, ms, trials, seeds, eps, solver = args
+    return run_trial(n, ms, eps, solver, seeds, trial=trials)
 
 
 def _usable_cores():
@@ -149,36 +214,42 @@ def _usable_cores():
     return os.cpu_count() or 1
 
 
-def _trial_cost(task):
-    """Flops of one iteration, up to a constant: the lifts are m n^2, eigh is n^3."""
-    n, m = task[0], task[1]
-    return n * n * (m + n)
+def _group_cost(task):
+    """Flops of one iteration of a group, up to a constant.
+
+    Each of its T slices is lifted on the group's largest m, M rows of
+    up to n^2 work each, and factored by an n x n eigh: T n^2 (M + n).
+    """
+    n, ms = task[0], task[1]
+    return len(ms) * n * n * (max(ms) + n)
 
 
 def run_grid(spec, workers=None):
     """All (n, m, trial) combinations; rows sorted, worker-count invariant.
 
     `workers` defaults to the usable cores; the pool forks that many workers.
-    Trials go out one at a time, costliest first, so that no worker is left
-    with the largest trials at the end while the others idle.
+    The trials run in groups, one n and one octave of m each (see the module
+    docstring).  Groups go out one at a time, costliest first, so that no
+    worker is left with the largest groups at the end while the others idle.
     """
-    tasks = [
-        (n, m, t, derive_seed(spec.master_seed, n, m, t), spec.eps, spec.solver)
-        for n in spec.n_values
-        for m in spec.m_values
-        for t in range(spec.trials)
-    ]
-    tasks.sort(key=_trial_cost, reverse=True)
+    groups = {}  # (n, ceil(log2 m)) -> [(m, trial, seed), ...]
+    for n in spec.n_values:
+        for m in spec.m_values:
+            for t in range(spec.trials):
+                groups.setdefault((n, (m - 1).bit_length()), []).append(
+                    (m, t, derive_seed(spec.master_seed, n, m, t)))
+    tasks = [(n, *zip(*trials), spec.eps, spec.solver) for (n, _), trials in groups.items()]
+    tasks.sort(key=_group_cost, reverse=True)
     if workers is None:
         workers = _usable_cores()
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(tasks) == 1:
-        rows = [_grid_task(t) for t in tasks]
+        done = [_grid_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grid_task, tasks, chunksize=1))
-    rows.sort(key=lambda r: (r.n, r.m, r.trial))
+            done = list(pool.map(_grid_task, tasks, chunksize=1))
+    rows = sorted((r for group in done for r in group), key=lambda r: (r.n, r.m, r.trial))
     return GridResult(spec=spec, rows=rows)
 
 

@@ -4,7 +4,9 @@ Everything downstream (sensing operators, projectors, solvers, certificate
 checks) works on plain numpy arrays: float64 for the real field, complex128
 for the complex field.  Hermitian matrices are kept exactly self-adjoint by
 construction via :func:`hermitize`, or, for the real PSD rebuild W W^T, by
-BLAS `syrk`, which fills one triangle and mirrors it.
+BLAS `syrk`, which fills one triangle and mirrors it.  `hermitize`,
+`require_square` and `eig` also take a stack of matrices, shape (T, n, n),
+and act on each slice as on one matrix.
 """
 
 import numpy as np
@@ -34,12 +36,13 @@ def hermitize(X):
     equals entry (j, i) bit-exactly, and diagonals lose any imaginary part.
     """
     X = np.asarray(X)
-    return (X + X.conj().T) / 2
+    return (X + X.conj().swapaxes(-1, -2)) / 2
 
 
 def require_square(X):
+    """X as an array, square in its last two axes (one matrix or a stack)."""
     X = np.asarray(X)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"dimension mismatch: matrix must be square, got shape {X.shape}")
     return X
 
@@ -63,19 +66,21 @@ def check_anchor(x):
 
 
 def eig(X):
-    """Eigendecomposition (values, vectors) of a Hermitian matrix.
+    """Eigendecomposition (values, vectors) of a Hermitian matrix, or of each in a stack.
 
     The values are real and descending; the vectors are orthonormal
     columns, as `np.linalg.eigh` returns them, with no phase convention:
     callers that expose a vector fix its phase themselves (see
     `projections.leading_eigenvector`).  Deterministic for a fixed input.
-    Both arrays are reversed views of `eigh`'s output, not copies.
+    Both arrays are reversed views of `eigh`'s output, not copies.  A
+    stack is one batched `eigh` call, each slice bit for bit its own call;
+    one non-finite slice rejects the whole stack.
     """
     X = require_square(X)
     if not np.isfinite(X).all():
         raise ValueError("non-finite input")
     values, vectors = np.linalg.eigh(X)
-    return values[::-1], vectors[:, ::-1]
+    return values[..., ::-1], vectors[..., ::-1]
 
 
 def schatten_norm(X, p):

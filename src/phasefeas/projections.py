@@ -10,7 +10,10 @@ same code path covers the underdetermined, critically determined, and
 least-squares regimes.  The Gram matrix is factored once per problem
 instance, and the dense m x m matrix G^+ is formed from that factorization.
 It is the only m x m operator kept (there is no G G^+), and an iteration
-applies it with one matrix-vector product, `p.pinv @ r`.  Like the adjoint
+applies it with one matrix-vector product, `(p.pinv @ r[..., None])[..., 0]`,
+which is `p.pinv @ r` for one problem and one product per slice for a stack
+(a `pinv` of shape (T, m, m), zero-padded past each slice's own m, so the
+padded rows of r, which are zero, add exact zeros).  Like the adjoint
 it goes through, the correction L*(G^+ (L(X) - b)) is Hermitian only up to
 rounding; `project_affine` symmetrizes its result.
 
@@ -20,7 +23,10 @@ with BLAS `syrk`: half the flops of a general product, and the result is
 symmetric bit for bit; a complex W W* goes through `hermitize`.  Its input
 need not be exactly Hermitian: `eigh` reads only the lower triangle.  It
 returns W alongside W W*, so a solver can lift its iterate through the
-factor (`sensing.apply_lifted_factor`, m n r work instead of m n^2).
+factor (`sensing.apply_lifted_factor`, m n r work instead of m n^2).  On a
+stack (T, n, n) it makes one batched `eigh`, and W has the stack's largest
+rank r as its column count, with zero columns where a slice has fewer
+positive eigenvalues; zero columns add exact zeros to W W* and to the lift.
 """
 
 from dataclasses import dataclass
@@ -39,14 +45,18 @@ class AffineProjector:
     rank: int         # eigenvalues of G above the cutoff
     cond: float       # lambda_max / smallest retained lambda
     b: MeasurementVector
+    # A stack of T projectors has a (T, m, m) pinv and (T,) arrays of rank and cond.
 
 
 def build_affine_projector(e, b):
     """Factor the Gram matrix of the measurement frame once, for reuse.
 
     G^+ is built from the eigenpairs above the cutoff only, and is zero on
-    the rest.
+    the rest.  It takes one ensemble; a stack's projector is built problem
+    by problem and padded (see `harness`).
     """
+    if e.vectors.ndim != 2:
+        raise ValueError(f"dimension mismatch: one (m, n) ensemble expected, got {e.vectors.shape}")
     require_measurements(e, b)
     inner = e.vectors.conj() @ e.vectors.T
     gram = hermitize(np.abs(inner) ** 2)
@@ -69,7 +79,8 @@ def build_affine_projector(e, b):
 def project_affine(p, e, X):
     """Nearest matrix (Hilbert-Schmidt) with L(X) = b, least squares if overdetermined."""
     X = require_square(X)
-    return hermitize(X - apply_adjoint(e, p.pinv @ (apply_lifted(e, X) - p.b.values)))
+    r = apply_lifted(e, X) - p.b.values
+    return hermitize(X - apply_adjoint(e, (p.pinv @ r[..., None])[..., 0]))
 
 
 def project_psd(X):
@@ -81,21 +92,27 @@ def project_psd(X):
     triangle of X only, as `eigh` does.  The product costs about n*n*r/2
     (real, `syrk`) instead of n^3; r = 0 gives an (n, 0) W and exact zeros.
     A real W W* is already exactly symmetric; a complex one goes through
-    `hermitize`, so it equals W W* only up to rounding.
+    `hermitize`, so it equals W W* only up to rounding.  A stack (T, n, n)
+    gives P of the same shape and a (T, n, r) W, r the largest rank of any
+    slice; a slice of lower rank has zero columns there.
     """
     values, vectors = eig(X)
-    r = int(np.count_nonzero(values > 0))
-    W = vectors[:, :r] * np.sqrt(values[:r])
-    out = W @ W.conj().T
+    positive = np.maximum(values, 0)
+    # the values descend, so a column holds a positive value in some slice
+    # exactly when it lies within the largest rank
+    r = np.count_nonzero(np.maximum.reduce(positive.reshape(-1, positive.shape[-1])))
+    W = vectors[..., :r] * np.sqrt(positive[..., None, :r])
+    out = W @ W.conj().swapaxes(-1, -2)
     return (hermitize(out) if np.iscomplexobj(out) else out), W
 
 
 def leading_eigenvector(X):
-    """Top eigenpair (eigenvalue, unit vector) under a fixed phase convention.
+    """Top eigenpair under a fixed phase convention, and the next eigenvalue.
 
-    The vector is rotated so its largest-magnitude component (first index on
-    magnitude ties) is real and positive, which makes outputs comparable
-    across runs.
+    Returns (lambda_1, unit vector, lambda_2), with lambda_2 = 0.0 for a
+    1 x 1 matrix, all from one factorization.  The vector is rotated so its
+    largest-magnitude component (first index on magnitude ties) is real and
+    positive, which makes outputs comparable across runs.
     """
     values, vectors = eig(X)
     v = vectors[:, 0]
@@ -103,7 +120,8 @@ def leading_eigenvector(X):
     # from np.hypot, which rounds as scalar abs() does; np.abs of a complex
     # array can differ in the last bit, and the tests pin the phase bitwise.
     pivot = v[np.argmax(np.abs(v))]
-    return float(values[0]), v * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag))
+    second = float(values[1]) if values.size > 1 else 0.0
+    return float(values[0]), v * (np.conj(pivot) / np.hypot(pivot.real, pivot.imag)), second
 
 
 def recovery_error(X, X0):

@@ -29,6 +29,13 @@ themselves (the affine projection, the POCS step and the certificate
 check), and the DR and Nesterov steps hand it to `eigh`, which reads one
 triangle.
 
+The lift, the factor lift and the adjoint also take a stack of T problems
+of one n: Z of shape (T, m, n), X of shape (T, n, n), W of shape (T, n, r)
+and lam of shape (T, m), each slice computed as the 2-D call on it.  The
+stack's m is its largest; a problem with fewer rows is zero-padded, and a
+zero row z_i = 0 lifts to exactly 0 and adds exactly 0 to the adjoint, so
+the padding changes no value of the real rows beyond rounding order.
+
 Randomness is PCG64 (numpy default_rng) throughout; sub-streams are derived
 by keyed SeedSequence so regeneration from (n, m, field, seed) is bit-exact
 and parallel trials draw from disjoint streams.
@@ -54,7 +61,7 @@ def derive_seed(master, *keys):
 
 @dataclass(frozen=True)
 class SensingEnsemble:
-    vectors: np.ndarray  # (m, n), row i is z_i
+    vectors: np.ndarray  # (m, n), row i is z_i; (T, m, n) for a stack
 
     @property
     def field(self):
@@ -62,22 +69,23 @@ class SensingEnsemble:
 
     @property
     def m(self):
-        return self.vectors.shape[0]
+        return self.vectors.shape[-2]
 
     @property
     def n(self):
-        return self.vectors.shape[1]
+        return self.vectors.shape[-1]
 
 
 @dataclass(frozen=True)
 class MeasurementVector:
-    values: np.ndarray   # (m,) real
+    values: np.ndarray   # (m,) real; (T, m) for a stack
 
 
 def require_measurements(e, b):
     """Check that the measurement vector b holds one value per sensing vector of e."""
-    if b.values.shape != (e.m,):
-        raise ValueError(f"dimension mismatch: b has shape {b.values.shape}, ensemble m={e.m}")
+    if b.values.shape != e.vectors.shape[:-1]:
+        raise ValueError(f"dimension mismatch: b has shape {b.values.shape}, "
+                         f"ensemble {e.vectors.shape[:-1]}")
 
 
 def sample_ensemble(n, m, field=REAL, seed=0):
@@ -112,13 +120,13 @@ def apply_lifted(e, X):
     and a complex X on a real ensemble are both read in the wider dtype.
     """
     X = require_square(X)
-    if X.shape[0] != e.n:
+    if X.shape[-1] != e.n:
         raise ValueError(f"dimension mismatch: X is {X.shape}, ensemble n={e.n}")
-    U = e.vectors @ X.T
+    U = e.vectors @ X.swapaxes(-1, -2)
     # the views need Z in U's dtype and C-contiguous; a sampled Z already is
     Z = np.ascontiguousarray(e.vectors, dtype=U.dtype)
     part = U.real.dtype
-    return np.einsum("ij,ij->i", U.view(part), Z.view(part))
+    return np.einsum("...ij,...ij->...i", U.view(part), Z.view(part))
 
 
 def apply_lifted_factor(e, W):
@@ -126,13 +134,15 @@ def apply_lifted_factor(e, W):
 
     Equal to `apply_lifted(e, W @ W.conj().T)` up to rounding, for any r >= 0
     (r = 0 gives zeros).  U = Z conj(W) is a fresh C-contiguous array, so
-    its float64 view needs no copy whatever the dtypes of Z and W.
+    its float64 view needs no copy whatever the dtypes of Z and W.  A stack
+    takes W of shape (T, n, r), with zero columns where a slice's rank is
+    below r.
     """
-    if W.ndim != 2 or W.shape[0] != e.n:
+    if W.ndim != e.vectors.ndim or W.shape[-2] != e.n:
         raise ValueError(f"dimension mismatch: W is {W.shape}, ensemble n={e.n}")
     U = e.vectors @ W.conj()
     U = U.view(U.real.dtype)
-    return np.einsum("ij,ij->i", U, U)
+    return np.einsum("...ij,...ij->...i", U, U)
 
 
 def apply_adjoint(e, lam):
@@ -142,9 +152,10 @@ def apply_adjoint(e, lam):
     the last bits.  Callers that need exact symmetry apply `hermitize`.
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (e.m,):
-        raise ValueError(f"dimension mismatch: lam has shape {lam.shape}, ensemble m={e.m}")
-    return (e.vectors.T * lam) @ e.vectors.conj()
+    if lam.shape != e.vectors.shape[:-1]:
+        raise ValueError(f"dimension mismatch: lam has shape {lam.shape}, "
+                         f"ensemble {e.vectors.shape[:-1]}")
+    return (e.vectors.swapaxes(-1, -2) * lam[..., None, :]) @ e.vectors.conj()
 
 
 def s_apply(X, field=REAL):

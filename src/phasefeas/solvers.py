@@ -36,6 +36,17 @@ X_k = W W* through the factor W that `project_psd` returns with it
 lifts the dense X_k, so that its affine point is `project_affine`'s bit
 for bit.  So a k-step solve makes k + 1 lifts, one of them (always dense)
 for the start, plus one factor lift for a projected DR warm start.
+
+Every solver also runs a stack of T problems of one n as one solve, in the
+same loop with the same calls: a (T, m, n) ensemble, (T, m) measurements
+and, for DR and POCS, a projector with a (T, m, m) `pinv` (see
+`sensing` and `projections` for the zero padding of problems with fewer
+rows).  Each call then serves all T slices.  The trace is one SolverTrace:
+each record holds one value per slice, as lists, and `final_X` has shape
+(T, n, n).  One failing slice fails the whole solve (a batched `eigh`
+rejects the stack when one slice is non-finite, and Nesterov's divergence
+guard checks every slice); `harness.run_trial` reruns such a stack one
+problem at a time.
 """
 
 import math
@@ -43,7 +54,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .linalg import dtype_for, hermitize, require_same_shape, require_square, schatten_norm
+from .linalg import dtype_for, hermitize, require_same_shape, require_square
 from .projections import build_affine_projector, leading_eigenvector, project_psd
 from .sensing import apply_adjoint, apply_lifted, apply_lifted_factor, require_measurements
 
@@ -85,6 +96,7 @@ class TracePoint:
     recovery_error: float  # nan when no ground truth was supplied
     residual: float        # ||L(X) - b||_2 / ||b||_2
     trace_value: float     # tr(X)
+    # A stacked solve records a list of T floats in each value field.
 
 
 @dataclass
@@ -101,43 +113,71 @@ class SolverTrace:
         return self.points[-1].residual if self.points else math.nan
 
 
-def _relative_residual(lifted, b, b_norm):
-    """||L(X) - b||_2 / ||b||_2 from L(X); the bare norm when b = 0."""
-    gap = float(np.linalg.norm(lifted - b.values))
-    return gap / b_norm if b_norm > 0 else gap
+def _norms(v):
+    """Euclidean norms along the last axis, each bit for bit `np.linalg.norm` of its row.
+
+    `np.linalg.norm` takes a row as the square root of one BLAS dot product,
+    or of two in the complex field (real and imaginary parts apart).  On a
+    stack, numpy's matmul makes each row-times-column product that same dot
+    call; one row goes to `np.linalg.norm` itself, which costs less per call.
+    """
+    if v.ndim == 1:
+        return np.linalg.norm(v)
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    return np.sqrt(sum((p[..., None, :] @ p[..., :, None])[..., 0, 0] for p in parts))
+
+
+def _frobenius(X):
+    """||X||_F of a matrix, or of each slice of a stack."""
+    return _norms(X.reshape(X.shape[:-2] + (-1,)))
+
+
+def _residual_scale(b):
+    """||b||_2 per slice, or 1 where b = 0, to divide ||L(X) - b||_2 by; a scalar for one b."""
+    b_norm = _norms(b.values)
+    return np.where(b_norm > 0, b_norm, 1.0)[()]
+
+
+def _relative_residual(lifted, b, scale):
+    """||L(X) - b||_2 / ||b||_2 from L(X), per slice; the bare norm where b = 0."""
+    return _norms(lifted - b.values) / scale
 
 
 def _iterate(method, e, b, cfg, X0_true, X_start, steps):
     """The iteration loop shared by every solver: X_k, L(X_k) = next(steps(X, L(X))).
 
-    Checks that `cfg.method` is `method` and that `b` holds e.m values,
-    starts from X = 0 or from the hermitized warm start `X_start`, in the
-    field's dtype, lifts it dense, and draws iterations 0 to
-    `cfg.max_iters` from the generator `steps(X, L(X))`.  Records
-    iteration 0, every `record_every`-th iteration and the last iteration,
-    each once; the recovery error divides by ||X0_true||_F, computed once,
-    as is ||b||.  Every X after iteration 0 comes out of `project_psd`,
-    whose `eig` rejects a non-finite input, and a non-finite residual or
-    trace raises, so a record scans no X for finiteness.  An exception
-    raised while drawing iteration k is re-raised as
-    RuntimeError("iteration k: ...").
+    Checks that `cfg.method` is `method` and that `b` holds one value per
+    sensing vector of `e`, starts from X = 0 (one per slice of a stacked
+    `e`) or from the hermitized warm start `X_start`, in the field's dtype,
+    lifts it dense, and draws iterations 0 to `cfg.max_iters` from the
+    generator `steps(X, L(X))`.  Records iteration 0, every
+    `record_every`-th iteration and the last iteration, each once; the
+    recovery error divides by ||X0_true||_F, computed once, as is ||b||.
+    The norms are `np.linalg.norm`'s bit for bit, per slice.  Every X after
+    iteration 0 comes out of `project_psd`, whose `eig` rejects a
+    non-finite input, and a non-finite residual or trace raises, so a
+    record scans no X for finiteness.  An exception raised while drawing
+    iteration k is re-raised as RuntimeError("iteration k: ...").
     """
     if cfg.method != method:
         raise ValueError(f"config method is {cfg.method!r}, expected {method!r}")
     require_measurements(e, b)
     dtype = dtype_for(e.field)
     if X_start is None:
-        X = np.zeros((e.n, e.n), dtype=dtype)
+        X = np.zeros(e.vectors.shape[:-2] + (e.n, e.n), dtype=dtype)
     else:
         X_start = require_square(X_start)
         if not np.all(np.isfinite(X_start)):
             raise ValueError("non-finite warm start")
         X = hermitize(X_start).astype(dtype)
-    b_norm = float(np.linalg.norm(b.values))
+    scale = _residual_scale(b)
+    error = np.full(X.shape[:-2], math.nan)
     if X0_true is not None:
         X0_true = require_same_shape(X, X0_true)[1]
-        x0_norm = schatten_norm(X0_true, 2)
-        if x0_norm == 0:
+        if not np.all(np.isfinite(X0_true)):
+            raise ValueError("non-finite input")
+        x0_norm = _frobenius(X0_true)
+        if np.any(x0_norm == 0):
             raise ValueError("X0 must be nonzero")
     iterates = steps(X, apply_lifted(e, X))
     trace = SolverTrace()
@@ -147,12 +187,13 @@ def _iterate(method, e, b, cfg, X0_true, X_start, steps):
         except Exception as err:
             raise RuntimeError(f"iteration {k}: {err}") from err
         if k % cfg.record_every == 0 or k == cfg.max_iters:
-            error = float(np.linalg.norm(X - X0_true)) / x0_norm if X0_true is not None else math.nan
-            res = _relative_residual(lX, b, b_norm)
-            tr = float(X.trace().real)
-            if not (math.isfinite(res) and math.isfinite(tr)):
+            if X0_true is not None:
+                error = _frobenius(X - X0_true) / x0_norm
+            res = _relative_residual(lX, b, scale)
+            tr = X.trace(axis1=-2, axis2=-1).real
+            if not np.isfinite((res, tr)).all():
                 raise RuntimeError(f"non-finite iterate at iteration {k}")
-            trace.points.append(TracePoint(k, error, res, tr))
+            trace.points.append(TracePoint(k, error.tolist(), res.tolist(), tr.tolist()))
     trace.final_X = X
     return trace
 
@@ -175,14 +216,14 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
         if X_start is not None:
             X, W = project_psd(Y)
             lX = apply_lifted_factor(e, W)
-        q = np.zeros(e.m)
+        q = np.zeros(p.b.values.shape)
         lX_prev = lY
         while True:
             yield X, lX
             r = 2 * lX
             r -= lX_prev
             r -= p.b.values
-            q += p.pinv @ r
+            q += (p.pinv @ r[..., None])[..., 0]
             lX_prev = lX
             X, W = project_psd(X - apply_adjoint(e, q))
             lX = apply_lifted_factor(e, W)
@@ -199,7 +240,8 @@ def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
     def steps(X, lX):
         while True:
             yield X, lX
-            X = project_psd(hermitize(X - apply_adjoint(e, p.pinv @ (lX - p.b.values))))[0]
+            r = lX - p.b.values
+            X = project_psd(hermitize(X - apply_adjoint(e, (p.pinv @ r[..., None])[..., 0])))[0]
             lX = apply_lifted(e, X)
 
     return _iterate(POCS, e, p.b, cfg, X0_true, X_start, steps)
@@ -217,20 +259,21 @@ def solve_nesterov(e, b, cfg, X0_true=None):
     factor of X_k, and L(Y_k) taken by linearity from L(X_k) and
     L(X_{k-1}).  The step subtracts alpha lambda from the diagonal of
     Y - alpha L*(L(Y) - b) in place.  Aborts when the feasibility residual
-    exceeds 1e6 (step size too large); the guard checks every step, not
-    only recorded ones.
+    exceeds 1e6 or is not finite (step size too large), in any slice of a
+    stack; the guard checks every step, not only recorded ones.
     """
     def steps(X, lX):
         Y, lY, theta = X, lX, 1.0
-        b_norm = float(np.linalg.norm(b.values))
+        scale = _residual_scale(b)
         while True:
             yield X, lX
             V = Y - cfg.alpha * apply_adjoint(e, lY - b.values)
-            V.flat[:: e.n + 1] -= cfg.alpha * cfg.lambda_trace
+            # V is a fresh C-contiguous array, so this reshape is a view of it
+            V.reshape(V.shape[:-2] + (-1,))[..., :: e.n + 1] -= cfg.alpha * cfg.lambda_trace
             X_new, W = project_psd(V)
             lX_new = apply_lifted_factor(e, W)
-            res = _relative_residual(lX_new, b, b_norm)
-            if not math.isfinite(res) or res > DIVERGENCE_LIMIT:
+            res = np.maximum.reduce(_relative_residual(lX_new, b, scale), axis=None)
+            if not res <= DIVERGENCE_LIMIT:
                 raise RuntimeError(f"step size too large: residual {res:.3e}")
             theta_new = _next_theta(theta)
             beta = theta_new * (1.0 / theta - 1.0)
@@ -265,13 +308,10 @@ def round_to_vector(trace):
     """
     if trace.final_X is None:
         raise ValueError("trace has no final iterate")
-    X = trace.final_X
-    lam1, v1 = leading_eigenvector(X)
+    lam1, v1, lam2 = leading_eigenvector(trace.final_X)
     if lam1 <= 0:
         raise RuntimeError("no positive component")
-    vals = np.linalg.eigvalsh(X)[::-1]
-    gap = float(vals[0] - vals[1]) if vals.size > 1 else float(vals[0])
-    return np.sqrt(lam1) * v1, gap
+    return np.sqrt(lam1) * v1, lam1 - lam2
 
 
 def write_trace_csv(trace, path):

@@ -17,6 +17,7 @@ from phasefeas.harness import (
     sample_unit_sphere,
     write_grid_csv,
 )
+from phasefeas.sensing import MeasurementVector, derive_seed
 from phasefeas.solvers import SolverConfig
 
 
@@ -64,7 +65,6 @@ class TestRunGrid:
                         solver=fast_cfg(), master_seed=5)
         result = run_grid(spec, workers=1)
         assert len(result.rows) == 1
-        from phasefeas.sensing import derive_seed
         direct = run_trial(3, 9, 0.0, fast_cfg(), derive_seed(5, 3, 9, 0), trial=0)
         assert no_wall(result.rows[0]) == no_wall(direct)
 
@@ -114,6 +114,8 @@ class TestRunGrid:
             GridSpec(n_values=[3], m_values=[5], eps=eps)
 
     def test_costliest_trials_dispatched_first(self, monkeypatch):
+        # one group per n and octave ceil(log2 m): m = 20 and 30 share
+        # octave 5, m = 6 is alone in octave 3; a group costs T n^2 (M + n)
         order = []
         task = harness._grid_task
 
@@ -122,13 +124,64 @@ class TestRunGrid:
             return task(args)
 
         monkeypatch.setattr(harness, "_grid_task", recorded)
-        spec = GridSpec(n_values=[2, 5, 3], m_values=[6, 30], trials=2, solver=fast_cfg(5))
+        spec = GridSpec(n_values=[2, 5, 3], m_values=[6, 20, 30], trials=2, solver=fast_cfg(5))
         result = run_grid(spec, workers=1)
-        costs = [n * n * (n + m) for n, m, _ in order]
+        costs = [len(ms) * n * n * (max(ms) + n) for n, ms, _ in order]
         assert costs == sorted(costs, reverse=True)
-        assert order[0][:2] == (5, 30) and order[-1][:2] == (2, 6)
+        assert [(n, ms) for n, ms, _ in order] == [
+            (5, (20, 20, 30, 30)), (3, (20, 20, 30, 30)), (5, (6, 6)),
+            (2, (20, 20, 30, 30)), (3, (6, 6)), (2, (6, 6))]
+        assert {ts for _, _, ts in order} == {(0, 1, 0, 1), (0, 1)}
         keys = [(r.n, r.m, r.trial) for r in result.rows]
-        assert keys == sorted(keys)
+        assert keys == sorted(keys) and len(keys) == 18
+
+
+class TestFailingSlice:
+    def test_only_the_failing_trial_is_nan(self, tmp_path, monkeypatch):
+        # m = 5..8 share an octave, so the 8 trials of n = 3 are one stacked
+        # group; a NaN measurement in (m = 7, trial 1) fails that stack,
+        # which reruns trial by trial
+        spec = GridSpec(n_values=[3], m_values=[5, 6, 7, 8], trials=2, eps=0.1,
+                        solver=fast_cfg(40), master_seed=4)
+        bad = derive_seed(derive_seed(4, 3, 7, 1), 2)
+        add_noise = harness.add_noise
+
+        def poisoned(b, eps, x0_norm, seed=0):
+            out = add_noise(b, eps, x0_norm, seed=seed)
+            if seed == bad:
+                values = out.values.copy()
+                values[0] = math.nan
+                out = MeasurementVector(values=values)
+            return out
+
+        sizes = []
+        stacked_solve = harness._stacked_solve
+
+        def recorded(n, ms, *args):
+            sizes.append(len(ms))
+            return stacked_solve(n, ms, *args)
+
+        monkeypatch.setattr(harness, "add_noise", poisoned)
+        monkeypatch.setattr(harness, "_stacked_solve", recorded)
+        serial = run_grid(spec, workers=1)
+        assert sizes == [8] + [1] * 8
+        for r in serial.rows:
+            if (r.m, r.trial) == (7, 1):
+                assert math.isnan(r.recovery_error) and math.isnan(r.residual)
+            else:
+                alone = run_trial(3, r.m, spec.eps, spec.solver, r.seed, trial=r.trial)
+                assert no_wall(r) == no_wall(alone)
+        write_grid_csv(serial, tmp_path / "1.csv")
+        write_grid_csv(run_grid(spec, workers=2), tmp_path / "2.csv")
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+    def test_group_rows_within_tolerance_of_lone_trials(self):
+        spec = GridSpec(n_values=[4], m_values=[9, 12, 16], trials=2, eps=0.1,
+                        solver=fast_cfg(100), master_seed=8)
+        for r in run_grid(spec, workers=1).rows:
+            alone = run_trial(4, r.m, spec.eps, spec.solver, r.seed, trial=r.trial)
+            for got, ref in ((r.recovery_error, alone.recovery_error), (r.residual, alone.residual)):
+                assert abs(got - ref) <= 1e-12 + 1e-8 * abs(ref)
 
 
 class TestSingleBlasThread:
@@ -145,8 +198,9 @@ class TestSingleBlasThread:
 
     @pytest.mark.parametrize("raises", [False, True])
     def test_run_trial_restores_thread_count(self, blas, monkeypatch, raises):
+        # a trial's solve is the stacked DR solve of its group (of one)
         inside = []
-        solve = harness.solve
+        solve = harness.solve_dr
 
         def probe(*args, **kwargs):
             inside.append(blas())
@@ -154,7 +208,7 @@ class TestSingleBlasThread:
                 raise KeyError("not a solver failure")
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "solve", probe)
+        monkeypatch.setattr(harness, "solve_dr", probe)
         before = blas()
         if raises:
             with pytest.raises(KeyError):

@@ -58,7 +58,7 @@ class TestEig:
     def test_phase_convention(self):
         rng = np.random.default_rng(13)
         X = rand_hermitian(rng, 5, COMPLEX)
-        _, v = leading_eigenvector(X)
+        _, v, _ = leading_eigenvector(X)
         k = int(np.argmax(np.abs(v)))
         assert abs(v[k].imag) < 1e-14 and v[k].real > 0
         assert np.array_equal(v, eig_loop_reference(X)[1][:, 0])
@@ -78,8 +78,9 @@ class TestEig:
             if n == 0:
                 assert got_vectors.shape == (0, 0)
                 continue
-            value, v = leading_eigenvector(X)
+            value, v, second = leading_eigenvector(X)
             assert value == values[0]
+            assert second == (values[1] if n > 1 else 0.0)
             assert np.array_equal(v, vectors[:, 0])
 
     @pytest.mark.parametrize("X", [np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -89,8 +90,8 @@ class TestEig:
         assert np.all(raw[0] == raw[1])  # every column is an exact tie
         values, vectors = eig_loop_reference(X)
         assert np.array_equal(eig(X)[0], values)
-        value, v = leading_eigenvector(X)
-        assert value == values[0]
+        value, v, second = leading_eigenvector(X)
+        assert (value, second) == (values[0], values[1])
         assert np.array_equal(v, vectors[:, 0])
         assert v[0].imag == 0.0 and v[0].real > 0
 

@@ -294,13 +294,13 @@ class TestLeadingEigenvector:
     def test_rank_one(self):
         rng = np.random.default_rng(23)
         x0 = 2.5 * rand_unit(rng, 4)
-        val, v = leading_eigenvector(np.outer(x0, x0))
+        val, v, _ = leading_eigenvector(np.outer(x0, x0))
         assert val == pytest.approx(np.linalg.norm(x0) ** 2)
         assert vector_error_up_to_phase(v, x0 / np.linalg.norm(x0)) <= 1e-10
 
     def test_degenerate_identity(self):
-        val1, v1 = leading_eigenvector(np.eye(3))
-        val2, v2 = leading_eigenvector(np.eye(3))
+        val1, v1, _ = leading_eigenvector(np.eye(3))
+        val2, v2, _ = leading_eigenvector(np.eye(3))
         assert val1 == pytest.approx(1.0)
         assert np.array_equal(v1, v2)  # convention is deterministic
 
@@ -312,7 +312,7 @@ class TestLeadingEigenvector:
             x0 = rand_unit(rng, 6)
             E = rand_hermitian(rng, 6)
             E *= 0.01 / schatten_norm(E, np.inf)
-            _, v = leading_eigenvector(np.outer(x0, x0) + E)
+            _, v, _ = leading_eigenvector(np.outer(x0, x0) + E)
             assert abs(np.vdot(v, x0)) ** 2 >= 1 - 4 * (2 * 0.01) ** 2
 
 

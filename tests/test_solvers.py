@@ -35,6 +35,7 @@ from phasefeas.sensing import (
 )
 from phasefeas.solvers import (
     SolverConfig,
+    SolverTrace,
     round_to_vector,
     solve,
     solve_dr,
@@ -479,6 +480,19 @@ class TestCallStructure:
         rng = np.random.default_rng(9)
         leading_eigenvector(rand_hermitian(rng, 5))
         assert (counts["eig"], counts["eigh"]) == (1, 1)
+
+    def test_round_to_vector_is_one_eig(self, counts, monkeypatch):
+        # lambda_2 for the gap comes from the same factorization as the vector
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("a second factorization")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        rng = np.random.default_rng(10)
+        t = SolverTrace(final_X=rand_hermitian(rng, 5) + 5 * np.eye(5))
+        _, gap = round_to_vector(t)
+        assert (counts["eig"], counts["eigh"]) == (1, 1)
+        values = np.linalg.eigh(t.final_X)[0]
+        assert gap == values[-1] - values[-2]
 
 
 class TestRecordOracle:

@@ -5,14 +5,19 @@ list; a layer that no longer exists breaks the traced run.  The workloads in
 `perfbench/workloads.py` read `pf.<name>` from the `phasefeas` package and
 call it with fixed positional counts and keyword names, and `solve-large`
 drives `cli.main` with a fixed argv.  Both files are read with `ast`, so the
-benchmark is neither imported nor run.
+benchmark is neither imported nor run.  The traced `grid` run also checks
+three call identities; `test_traced_grid_call_identities` checks them here
+on a small grid, wrapping the same names in every namespace that binds them.
 """
 
 import ast
+import collections
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phasefeas
@@ -131,3 +136,42 @@ def test_solve_large_argv_parses():
     except SystemExit:
         pytest.fail(f"cli rejects the solve-large argv {argv}")
     assert args.command == "solve"
+
+
+def test_traced_grid_call_identities(monkeypatch):
+    # the traced grid divides by run_trial calls and requires project_psd =
+    # solver iterations, eig = project_psd + leading_eigenvector and
+    # np.linalg.eigh = eig + build_affine_projector
+    calls = collections.Counter()
+    iterations = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = fn(*args, **kwargs)
+            if name.startswith("solvers.solve_"):
+                iterations.append(out.points[-1].iteration)
+            return out
+        return wrapper
+
+    names = [("harness", "run_trial"), ("projections", "project_psd"), ("linalg", "eig"),
+             ("projections", "leading_eigenvector"), ("projections", "build_affine_projector"),
+             ("solvers", "solve_dr"), ("solvers", "solve_pocs"), ("solvers", "solve_nesterov")]
+    package = [mod for key, mod in sys.modules.items()
+               if key == "phasefeas" or key.startswith("phasefeas.")]
+    for module, function in names:
+        original = getattr(importlib.import_module(f"phasefeas.{module}"), function)
+        wrapper = counted(f"{module}.{function}", original)
+        for mod in package:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    spec = phasefeas.GridSpec(n_values=[3, 5], m_values=[6, 10, 14, 20], trials=2,
+                              solver=phasefeas.SolverConfig(max_iters=30, record_every=30))
+    phasefeas.run_grid(spec, workers=1)
+    assert calls["harness.run_trial"] >= 1
+    assert calls["projections.project_psd"] == sum(iterations)
+    assert calls["linalg.eig"] == (calls["projections.project_psd"]
+                                   + calls["projections.leading_eigenvector"])
+    assert calls["eigh"] == calls["linalg.eig"] + calls["projections.build_affine_projector"]
