@@ -8,6 +8,7 @@ import numpy as np
 
 from .harness import (
     GridSpec,
+    _single_blas_thread,
     emit_heatmap,
     run_certify_study,
     run_convergence_study,
@@ -170,6 +171,8 @@ def cmd_solve(args):
 
 
 def main(argv=None):
+    """Run one subcommand on one OpenBLAS thread (see `harness`), so its bytes
+    do not depend on the host's core count."""
     args = build_parser().parse_args(argv)
     handlers = {
         "grid": cmd_grid,
@@ -178,7 +181,8 @@ def main(argv=None):
         "solve": cmd_solve,
     }
     try:
-        return handlers[args.command](args)
+        with _single_blas_thread():
+            return handlers[args.command](args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -9,9 +9,10 @@ command with the same seed reproduces its CSV/PGM artifacts byte for byte
 (which is why the nondeterministic wall_ms column stays out of the files).
 
 A grid runs its trials in groups, one stacked solve per group (see
-`solvers`): the trials of one n whose m share the octave ceil(log2 m), so
-that a group's largest m, to which every trial's rows are zero-padded, is
-less than twice any of its own.  Each trial is drawn and its affine
+`solvers`): the trials of one n, sorted by (m, trial) and cut into
+consecutive runs of at most `STACK_SIZE`, so that a group's trials have
+neighbouring m and a group's memory is bounded.  Every trial's rows are
+zero-padded to the group's largest m.  Each trial is drawn and its affine
 projector built on its own, exactly as a lone trial; only the iteration
 loop is shared, so one set of calls serves every trial of the group.  The
 groups, and so every row, do not depend on the worker count.
@@ -21,6 +22,7 @@ reasons: forked workers that each start their own BLAS threads oversubscribe
 the cores, so the pool would not scale; and OpenBLAS rounds the larger
 kernels (the Gram `eigh` and `Z @ Z.T` above m of about 130) differently at
 one and at several threads, so a trial's bits would depend on where it ran.
+For the second reason `cli.main` runs every command on one OpenBLAS thread.
 """
 
 import contextlib
@@ -40,6 +42,12 @@ from .sensing import (REAL, MeasurementVector, SensingEnsemble, add_noise, deriv
                       sample_ensemble)
 from .solvers import (DR, NESTEROV, SolverConfig, solve, solve_dr, solve_nesterov, solve_pocs,
                       write_trace_csv)
+
+# Trials per stacked solve.  Each step of a stack pays a fixed dispatch cost
+# once for all its trials, so larger stacks mean fewer steps; past about 6
+# trials the gain levels off, while the padded G^+ of a stack, T M^2 floats,
+# keeps growing.
+STACK_SIZE = 8
 
 
 @dataclass
@@ -184,14 +192,20 @@ def run_trial(n, m, eps, solver, seed, trial=0):
 
     `m`, `seed` and `trial` are one value each, for one trial and one
     TrialRow, or equal-length sequences, for a group solved as one stack and
-    a list of TrialRows in that order.  Each trial draws from sub-streams
+    a list of TrialRows in that order; any other mix raises ValueError before
+    anything is solved.  Each trial draws from sub-streams
     of its own seed: 0 = signal direction, 1 = ensemble, 2 = noise.  Solver
     failures are recorded as NaN rows rather than raised.  Each row's
     `wall_ms` is an equal share of the group's time.  The group runs on one
     BLAS thread (see the module docstring).
     """
+    shape = np.shape(m)
+    if {np.shape(seed), np.shape(trial)} != {shape} or len(shape) > 1 or shape == (0,):
+        raise ValueError(f"dimension mismatch: m, seed and trial must be scalars or nonempty "
+                         f"sequences of one length, got shapes {shape}, {np.shape(seed)} "
+                         f"and {np.shape(trial)}")
     start = time.perf_counter()
-    group = np.ndim(m) > 0
+    group = shape != ()
     ms, seeds, trials = (m, seed, trial) if group else ([m], [seed], [trial])
     with _single_blas_thread():
         results = _solve_group(n, ms, eps, solver, seeds)
@@ -228,17 +242,18 @@ def run_grid(spec, workers=None):
     """All (n, m, trial) combinations; rows sorted, worker-count invariant.
 
     `workers` defaults to the usable cores; the pool forks that many workers.
-    The trials run in groups, one n and one octave of m each (see the module
-    docstring).  Groups go out one at a time, costliest first, so that no
-    worker is left with the largest groups at the end while the others idle.
+    The trials run in groups: each n's trials in (m, trial) order, cut into
+    consecutive runs of at most `STACK_SIZE` (see the module docstring).
+    Groups go out one at a time, costliest first, so that no worker is left
+    with the largest groups at the end while the others idle.
     """
-    groups = {}  # (n, ceil(log2 m)) -> [(m, trial, seed), ...]
+    trials = sorted((m, t) for m in spec.m_values for t in range(spec.trials))
+    tasks = []
     for n in spec.n_values:
-        for m in spec.m_values:
-            for t in range(spec.trials):
-                groups.setdefault((n, (m - 1).bit_length()), []).append(
-                    (m, t, derive_seed(spec.master_seed, n, m, t)))
-    tasks = [(n, *zip(*trials), spec.eps, spec.solver) for (n, _), trials in groups.items()]
+        for i in range(0, len(trials), STACK_SIZE):
+            stack = trials[i:i + STACK_SIZE]
+            seeds = tuple(derive_seed(spec.master_seed, n, m, t) for m, t in stack)
+            tasks.append((n, *zip(*stack), seeds, spec.eps, spec.solver))
     tasks.sort(key=_group_cost, reverse=True)
     if workers is None:
         workers = _usable_cores()

@@ -100,7 +100,7 @@ def project_psd(X):
     positive = np.maximum(values, 0)
     # the values descend, so a column holds a positive value in some slice
     # exactly when it lies within the largest rank
-    r = np.count_nonzero(np.maximum.reduce(positive.reshape(-1, positive.shape[-1])))
+    r = np.count_nonzero(np.maximum.reduce(positive, axis=tuple(range(positive.ndim - 1))))
     W = vectors[..., :r] * np.sqrt(positive[..., None, :r])
     out = W @ W.conj().swapaxes(-1, -2)
     return (hermitize(out) if np.iscomplexobj(out) else out), W

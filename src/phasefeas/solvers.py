@@ -191,7 +191,8 @@ def _iterate(method, e, b, cfg, X0_true, X_start, steps):
                 error = _frobenius(X - X0_true) / x0_norm
             res = _relative_residual(lX, b, scale)
             tr = X.trace(axis1=-2, axis2=-1).real
-            if not np.isfinite((res, tr)).all():
+            # the sum is finite only if every residual and trace is; an overflowing sum also raises
+            if not math.isfinite(np.add.reduce(res + tr, axis=None)):
                 raise RuntimeError(f"non-finite iterate at iteration {k}")
             trace.points.append(TracePoint(k, error.tolist(), res.tolist(), tr.tolist()))
     trace.final_X = X

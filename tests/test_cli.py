@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -321,3 +325,37 @@ class TestReadMeasurements:
         path.write_text("z_1,z_2,b\n" + rows)
         with pytest.raises(ValueError, match=where):
             read_measurements(path, 2)
+
+
+def run_cli(args, blas_threads, cwd):
+    """The CLI in a fresh interpreter whose OpenBLAS starts with `blas_threads` threads."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "phasefeas.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestBlasThreadCountInvariance:
+    # Above m of about 130 OpenBLAS rounds the Gram eigh and Z @ Z.T
+    # differently at one and at two threads; every command runs on one.
+    def test_converge_bytes(self, tmp_path):
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            run_cli(["converge", "--n", "20", "--m", "250", "--iters", "300", "--out", str(out)],
+                    threads, tmp_path)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1]
+
+    def test_solve_bytes(self, tmp_path):
+        n, m = 50, 250
+        x0 = np.random.default_rng(7).standard_normal(n)
+        e = sample_ensemble(n, m, seed=7)
+        path = tmp_path / "meas.csv"
+        write_measurements(path, e, measure(e, x0 / np.linalg.norm(x0)))
+        args = ["solve", "--input", str(path), "--n", str(n), "--iters", "300"]
+        assert run_cli(args, 1, tmp_path) == run_cli(args, 2, tmp_path)

@@ -53,6 +53,16 @@ class TestRunTrial:
         assert math.isnan(row.recovery_error)
         assert math.isnan(row.residual)
 
+    @pytest.mark.parametrize("seed, trial", [([1], [0, 1]), ([1, 2], 0)],
+                             ids=["short-seed", "scalar-trial"])
+    def test_mismatched_group_rejected_before_solving(self, monkeypatch, seed, trial):
+        def no_solve(*args):
+            raise AssertionError("a group was solved")
+
+        monkeypatch.setattr(harness, "_solve_group", no_solve)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            run_trial(3, [6, 9], 0.1, fast_cfg(20), seed, trial=trial)
+
     def test_unit_sphere_sampler(self):
         x = sample_unit_sphere(8, seed=3)
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
@@ -114,8 +124,8 @@ class TestRunGrid:
             GridSpec(n_values=[3], m_values=[5], eps=eps)
 
     def test_costliest_trials_dispatched_first(self, monkeypatch):
-        # one group per n and octave ceil(log2 m): m = 20 and 30 share
-        # octave 5, m = 6 is alone in octave 3; a group costs T n^2 (M + n)
+        # each n's 9 trials, in (m, trial) order, are cut into a stack of 8
+        # and a stack of 1; a group costs T n^2 (M + n)
         order = []
         task = harness._grid_task
 
@@ -124,21 +134,81 @@ class TestRunGrid:
             return task(args)
 
         monkeypatch.setattr(harness, "_grid_task", recorded)
-        spec = GridSpec(n_values=[2, 5, 3], m_values=[6, 20, 30], trials=2, solver=fast_cfg(5))
+        spec = GridSpec(n_values=[2, 5, 3], m_values=[6, 20, 30], trials=3, solver=fast_cfg(5))
         result = run_grid(spec, workers=1)
         costs = [len(ms) * n * n * (max(ms) + n) for n, ms, _ in order]
         assert costs == sorted(costs, reverse=True)
+        head = (6, 6, 6, 20, 20, 20, 30, 30)
         assert [(n, ms) for n, ms, _ in order] == [
-            (5, (20, 20, 30, 30)), (3, (20, 20, 30, 30)), (5, (6, 6)),
-            (2, (20, 20, 30, 30)), (3, (6, 6)), (2, (6, 6))]
-        assert {ts for _, _, ts in order} == {(0, 1, 0, 1), (0, 1)}
+            (5, head), (3, head), (2, head), (5, (30,)), (3, (30,)), (2, (30,))]
+        assert {ts for _, _, ts in order} == {(0, 1, 2, 0, 1, 2, 0, 1), (2,)}
         keys = [(r.n, r.m, r.trial) for r in result.rows]
-        assert keys == sorted(keys) and len(keys) == 18
+        assert keys == sorted(keys) and len(keys) == 27
+
+
+class SerialPool:
+    """A stand-in for ProcessPoolExecutor that runs the tasks in order, in process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return [fn(t) for t in tasks]
+
+
+class TestGrouping:
+    def tasks(self, monkeypatch, spec, workers):
+        seen = []
+        task = harness._grid_task
+
+        def recorded(args):
+            seen.append(args[:4])
+            return task(args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_grid_task", recorded)
+            patch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+            run_grid(spec, workers=workers)
+        return seen
+
+    def test_stacks_of_one_n_and_at_most_8_consecutive_trials(self, monkeypatch):
+        spec = GridSpec(n_values=[2, 4, 3], m_values=[30, 6, 12, 20, 9], trials=7,
+                        solver=fast_cfg(2), master_seed=6)
+        serial = self.tasks(monkeypatch, spec, 1)
+        pooled = self.tasks(monkeypatch, spec, 2)
+        assert set(serial) == set(pooled) and len(serial) == len(pooled)
+        for n in spec.n_values:
+            stacks = sorted((list(zip(ms, ts)), seeds) for k, ms, ts, seeds in serial if k == n)
+            assert [len(trials) for trials, _ in stacks] == [8, 8, 8, 8, 3]
+            flat = [mt for trials, _ in stacks for mt in trials]
+            assert flat == sorted((m, t) for m in spec.m_values for t in range(spec.trials))
+            for trials, seeds in stacks:
+                assert list(seeds) == [derive_seed(6, n, m, t) for m, t in trials]
+
+    def test_straddling_m_writes_the_same_bytes_at_any_worker_count(self, tmp_path):
+        # 3 trials of m = 6, 9 and 12: the 9 trials of n = 3 make stacks of
+        # 8 and 1, so the trials of m = 12 are split across two stacks
+        spec = GridSpec(n_values=[3, 2], m_values=[6, 9, 12], trials=3, eps=0.1,
+                        solver=fast_cfg(40), master_seed=2)
+        outputs = []
+        for k, workers in enumerate((1, 2, 1)):
+            result = run_grid(spec, workers=workers)
+            write_grid_csv(result, tmp_path / f"{k}.csv")
+            emit_heatmap(result, tmp_path / f"{k}.pgm")
+            outputs.append(((tmp_path / f"{k}.csv").read_bytes(),
+                            (tmp_path / f"{k}.pgm").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestFailingSlice:
     def test_only_the_failing_trial_is_nan(self, tmp_path, monkeypatch):
-        # m = 5..8 share an octave, so the 8 trials of n = 3 are one stacked
+        # the 8 trials of n = 3 (m = 5..8, 2 trials each) fill one stacked
         # group; a NaN measurement in (m = 7, trial 1) fails that stack,
         # which reruns trial by trial
         spec = GridSpec(n_values=[3], m_values=[5, 6, 7, 8], trials=2, eps=0.1,

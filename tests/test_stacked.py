@@ -24,7 +24,7 @@ from phasefeas.sensing import (
 from phasefeas.solvers import SolverConfig, solve_dr, solve_nesterov, solve_pocs
 
 N = 4
-MS = (9, 12, 16)   # one octave of m, padded to 16 rows
+MS = (9, 12, 16)   # the m of one stack, padded to 16 rows
 
 
 def close(stacked, single, rtol=1e-13):
