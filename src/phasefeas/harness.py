@@ -11,11 +11,11 @@ command with the same seed reproduces its CSV/PGM artifacts byte for byte
 A grid runs its trials in groups, one stacked solve per group (see
 `solvers`): the trials of one n, sorted by (m, trial) and cut into
 consecutive runs of at most `STACK_SIZE`, so that a group's trials have
-neighbouring m and a group's memory is bounded.  Every trial's rows are
-zero-padded to the group's largest m.  Each trial is drawn and its affine
-projector built on its own, exactly as a lone trial; only the iteration
-loop is shared, so one set of calls serves every trial of the group.  The
-groups, and so every row, do not depend on the worker count.
+neighbouring m and a group's memory is bounded.  Each trial is drawn on
+its own, as a lone trial, and zero-padded to the group's largest m; the
+stack then goes to `solve` as one problem, with one Gram factorization
+and one set of calls per step for all its trials.  The groups, and so
+every row, do not depend on the worker count.
 
 Every trial, serial or in a pool worker, runs on one OpenBLAS thread.  Two
 reasons: forked workers that each start their own BLAS threads oversubscribe
@@ -37,11 +37,9 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .certificate import CertificateParams, build_certificate, check_certificate
-from .projections import AffineProjector, build_affine_projector
 from .sensing import (REAL, MeasurementVector, SensingEnsemble, add_noise, derive_seed, measure,
                       sample_ensemble)
-from .solvers import (DR, NESTEROV, SolverConfig, solve, solve_dr, solve_nesterov, solve_pocs,
-                      write_trace_csv)
+from .solvers import DR, NESTEROV, SolverConfig, solve, write_trace_csv
 
 # Trials per stacked solve.  Each step of a stack pays a fixed dispatch cost
 # once for all its trials, so larger stacks mean fewer steps; past about 6
@@ -135,39 +133,24 @@ def _single_blas_thread():
 
 
 def _stacked_solve(n, ms, eps, solver, seeds):
-    """(recovery error, residual) of each trial, from one stacked solve.
+    """(recovery error, residual) of each trial, from one stacked `solve`.
 
     Trial i has `ms[i]` measurements and the seed `seeds[i]`, whose
-    sub-streams are 0 = signal direction, 1 = ensemble, 2 = noise.  Z, b and
-    G^+ are zero-padded to the largest m, which is exact (see `sensing`).
+    sub-streams are 0 = signal direction, 1 = ensemble, 2 = noise.  Z and b
+    are zero-padded to the largest m, which is exact (see `projections`).
     A group of one is solved unstacked, exactly as a lone trial.
     """
     M = max(ms)
-
-    def stack(arrays):
-        return np.stack(arrays) if len(arrays) > 1 else arrays[0]
-
-    X0, Z, values, projectors = [], [], [], []
+    X0, Z, values = [], [], []
     for m, seed in zip(ms, seeds):
         x0, e = _draw_instance(n, m, seed)
         b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(seed, 2))
         X0.append(np.outer(x0, x0))
         Z.append(np.pad(e.vectors, ((0, M - m), (0, 0))))
         values.append(np.pad(b.values, (0, M - m)))
-        if solver.method != NESTEROV:
-            projectors.append(build_affine_projector(e, b))
-    e = SensingEnsemble(vectors=stack(Z))
-    b = MeasurementVector(values=stack(values))
-    if solver.method == NESTEROV:
-        trace = solve_nesterov(e, b, solver, X0_true=stack(X0))
-    else:
-        p = AffineProjector(pinv=stack([np.pad(q.pinv, (0, M - q.pinv.shape[0]))
-                                        for q in projectors]),
-                            rank=stack([q.rank for q in projectors]),
-                            cond=stack([q.cond for q in projectors]), b=b)
-        method = solve_dr if solver.method == DR else solve_pocs
-        trace = method(p, e, solver, X0_true=stack(X0))
-    last = trace.points[-1]
+    stack = np.stack if len(ms) > 1 else (lambda arrays: arrays[0])
+    last = solve(SensingEnsemble(vectors=stack(Z)), MeasurementVector(values=stack(values)),
+                 solver, X0_true=stack(X0)).points[-1]
     return list(zip(np.ravel(last.recovery_error).tolist(), np.ravel(last.residual).tolist()))
 
 

@@ -11,9 +11,12 @@ least-squares regimes.  The Gram matrix is factored once per problem
 instance, and the dense m x m matrix G^+ is formed from that factorization.
 It is the only m x m operator kept (there is no G G^+), and an iteration
 applies it with one matrix-vector product, `(p.pinv @ r[..., None])[..., 0]`,
-which is `p.pinv @ r` for one problem and one product per slice for a stack
-(a `pinv` of shape (T, m, m), zero-padded past each slice's own m, so the
-padded rows of r, which are zero, add exact zeros).  Like the adjoint
+which is `p.pinv @ r` for one problem and one product per slice for a
+zero-padded stack (T, M, n) (see `sensing`), factored by one batched `eigh`
+with a cutoff per slice.  A zero row of Z is a zero row and column of G:
+an eigenvalue of exactly 0, which the cutoff drops, and exact zeros in G^+
+past the slice's own m.  G^+ sums over the stack's largest rank, with zero
+weight past each slice's own, as `project_psd` pads W.  Like the adjoint
 it goes through, the correction L*(G^+ (L(X) - b)) is Hermitian only up to
 rounding; `project_affine` symmetrizes its result.
 
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eig, hermitize, require_same_shape, require_square, schatten_norm
-from .sensing import MeasurementVector, apply_adjoint, apply_lifted, require_measurements
+from .sensing import (MeasurementVector, SensingEnsemble, apply_adjoint, apply_lifted,
+                      require_measurements)
 
 GRAM_CUTOFF = 1e-12
 
@@ -45,39 +49,47 @@ class AffineProjector:
     rank: int         # eigenvalues of G above the cutoff
     cond: float       # lambda_max / smallest retained lambda
     b: MeasurementVector
+    e: SensingEnsemble  # the ensemble G was factored from
     # A stack of T projectors has a (T, m, m) pinv and (T,) arrays of rank and cond.
+
+
+def require_projector(p, e):
+    """Refuse an ensemble e unless the projector p was factored from it or an equal one."""
+    if e is not p.e and not np.array_equal(e.vectors, p.e.vectors):
+        raise ValueError("dimension mismatch: the projector was factored from another ensemble")
 
 
 def build_affine_projector(e, b):
     """Factor the Gram matrix of the measurement frame once, for reuse.
 
     G^+ is built from the eigenpairs above the cutoff only, and is zero on
-    the rest.  It takes one ensemble; a stack's projector is built problem
-    by problem and padded (see `harness`).
+    the rest.  A stack is factored slice by slice (see the module docstring).
     """
-    if e.vectors.ndim != 2:
-        raise ValueError(f"dimension mismatch: one (m, n) ensemble expected, got {e.vectors.shape}")
     require_measurements(e, b)
-    inner = e.vectors.conj() @ e.vectors.T
-    gram = hermitize(np.abs(inner) ** 2)
+    gram = hermitize(np.abs(e.vectors.conj() @ e.vectors.swapaxes(-1, -2)) ** 2)
     if not np.all(np.isfinite(gram)):
         raise ValueError("non-finite entries in Gram matrix")
     try:
         vals, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as err:
         raise RuntimeError(f"Gram factorization failed: {err}") from err
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    vmax = float(vals[0]) if vals.size else 0.0
-    if vmax <= 0:
-        raise RuntimeError(f"Gram factorization failed: matrix is zero (lambda_max={vmax!r})")
-    rank = int(np.count_nonzero(vals > GRAM_CUTOFF * vmax))
-    V = vecs[:, :rank]
-    return AffineProjector(pinv=(V / vals[:rank]) @ V.T, rank=rank,
-                           cond=vmax / float(vals[rank - 1]), b=b)
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    vmax = vals.max(axis=-1, initial=0.0)
+    if np.any(vmax <= 0):
+        raise RuntimeError("Gram factorization failed: matrix is zero")
+    kept = vals > GRAM_CUTOFF * vmax[..., None]
+    rank = np.count_nonzero(kept, axis=-1)
+    r = rank.max()  # the values descend, so every kept value lies within it
+    V = vecs[..., :r]
+    weighted = np.divide(V, vals[..., None, :r], out=np.zeros_like(V), where=kept[..., None, :r])
+    cond = vmax / vals.min(axis=-1, where=kept, initial=np.inf)
+    return AffineProjector(pinv=weighted @ V.swapaxes(-1, -2), rank=rank[()], cond=cond[()],
+                           b=b, e=e)
 
 
 def project_affine(p, e, X):
     """Nearest matrix (Hilbert-Schmidt) with L(X) = b, least squares if overdetermined."""
+    require_projector(p, e)
     X = require_square(X)
     r = apply_lifted(e, X) - p.b.values
     return hermitize(X - apply_adjoint(e, (p.pinv @ r[..., None])[..., 0]))

@@ -39,14 +39,14 @@ for the start, plus one factor lift for a projected DR warm start.
 
 Every solver also runs a stack of T problems of one n as one solve, in the
 same loop with the same calls: a (T, m, n) ensemble, (T, m) measurements
-and, for DR and POCS, a projector with a (T, m, m) `pinv` (see
-`sensing` and `projections` for the zero padding of problems with fewer
-rows).  Each call then serves all T slices.  The trace is one SolverTrace:
-each record holds one value per slice, as lists, and `final_X` has shape
-(T, n, n).  One failing slice fails the whole solve (a batched `eigh`
-rejects the stack when one slice is non-finite, and Nesterov's divergence
-guard checks every slice); `harness.run_trial` reruns such a stack one
-problem at a time.
+and, for DR and POCS, the projector `build_affine_projector` factors from
+the stack (see `sensing` and `projections` for the zero padding of
+problems with fewer rows).  Each call then serves all T slices.  The trace
+is one SolverTrace: each record holds one value per slice, as lists, and
+`final_X` has shape (T, n, n).  One failing slice fails the whole solve (a
+batched `eigh` rejects the stack when one slice is non-finite, and
+Nesterov's divergence guard checks every slice); `harness.run_trial`
+reruns such a stack one problem at a time.
 """
 
 import math
@@ -55,7 +55,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .linalg import dtype_for, hermitize, require_same_shape, require_square
-from .projections import build_affine_projector, leading_eigenvector, project_psd
+from .projections import build_affine_projector, leading_eigenvector, project_psd, require_projector
 from .sensing import apply_adjoint, apply_lifted, apply_lifted_factor, require_measurements
 
 DR = "dr"
@@ -210,8 +210,10 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
     L(Y_{k-1}) = L(X_{k-2}) - G q_{k-1} and G^+ G q_{k-1} = q_{k-1}.  The
     state between steps is q and L(X_{k-1}), two m-vectors; no Y is kept.
     A warm start is Y_0, and X_0 = P_psd(Y_0); each X_k, X_0 included, is
-    lifted through its PSD factor.
+    lifted through its PSD factor.  `p` must be factored from `e`.
     """
+    require_projector(p, e)
+
     def steps(Y, lY):
         X, lX = Y, lY
         if X_start is not None:
@@ -236,8 +238,10 @@ def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
     """Alternating projections X_{k} = P_psd(P_aff(X_{k-1})), from X_0 = X_start.
 
     P_aff(X) = hermitize(X - L*(G^+ (L(X) - b))), with X lifted dense, is
-    `project_affine` bit for bit.
+    `project_affine` bit for bit.  `p` must be factored from `e`.
     """
+    require_projector(p, e)
+
     def steps(X, lX):
         while True:
             yield X, lX

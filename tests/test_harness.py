@@ -268,9 +268,9 @@ class TestSingleBlasThread:
 
     @pytest.mark.parametrize("raises", [False, True])
     def test_run_trial_restores_thread_count(self, blas, monkeypatch, raises):
-        # a trial's solve is the stacked DR solve of its group (of one)
+        # a trial's solve is the stacked solve of its group (of one)
         inside = []
-        solve = harness.solve_dr
+        solve = harness.solve
 
         def probe(*args, **kwargs):
             inside.append(blas())
@@ -278,7 +278,7 @@ class TestSingleBlasThread:
                 raise KeyError("not a solver failure")
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "solve_dr", probe)
+        monkeypatch.setattr(harness, "solve", probe)
         before = blas()
         if raises:
             with pytest.raises(KeyError):

@@ -89,7 +89,7 @@ class TestBuildAffineProjector:
         # gives rank 6 < m; either way the one m x m matrix kept is G^+
         e = sample_ensemble(3, m, REAL, seed=m)
         p = build_affine_projector(e, MeasurementVector(values=np.zeros(m)))
-        assert [f.name for f in dataclasses.fields(p)] == ["pinv", "rank", "cond", "b"]
+        assert [f.name for f in dataclasses.fields(p)] == ["pinv", "rank", "cond", "b", "e"]
         assert p.pinv.shape == (m, m)
         assert p.rank == 6
 

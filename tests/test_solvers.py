@@ -369,6 +369,22 @@ class TestMeasurementCheck:
         with pytest.raises(ValueError, match="dimension mismatch"):
             method_fn(p, other, SolverConfig(method=method, max_iters=5), X_start=X_start)
 
+    def test_projector_from_an_ensemble_of_the_same_shape(self):
+        # the G^+ of the seed-1 frame, iterated on the seed-2 ensemble,
+        # overflows after some 70 DR steps: it is refused before the first,
+        # and the ensemble it was factored from, or an equal copy, still solves
+        rng = np.random.default_rng(1)
+        e1, e2 = sample_ensemble(4, 12, seed=1), sample_ensemble(4, 12, seed=2)
+        p = build_affine_projector(e1, measure(e1, rand_unit(rng, 4)))
+        cfg = SolverConfig(max_iters=100)
+        for call in (lambda: solve_dr(p, e2, cfg),
+                     lambda: solve_pocs(p, e2, SolverConfig(method="pocs", max_iters=100)),
+                     lambda: project_affine(p, e2, np.eye(4))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                call()
+        for e in (e1, SensingEnsemble(vectors=e1.vectors.copy())):
+            assert solve_dr(p, e, cfg).final_residual < 1e-10
+
 
 class TestSolveDispatch:
     @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])

@@ -5,12 +5,14 @@ slice alone; a problem with fewer rows is zero-padded, and a padded row must
 add exact zeros; and a stacked solve must follow each slice's own solve.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _utils import FIELDS, rand_hermitian, rand_square, rand_unit
 from phasefeas.linalg import eig, hermitize, require_square
-from phasefeas.projections import AffineProjector, build_affine_projector, project_psd
+from phasefeas.projections import build_affine_projector, project_psd
 from phasefeas.sensing import (
     MeasurementVector,
     SensingEnsemble,
@@ -52,11 +54,7 @@ def stack_problems(probs):
     M = max(e.m for _, e, _ in probs)
     e = SensingEnsemble(vectors=np.stack([padded(e.vectors, M) for _, e, _ in probs]))
     b = MeasurementVector(values=np.stack([padded(b.values, M) for _, _, b in probs]))
-    ps = [build_affine_projector(e_k, b_k) for _, e_k, b_k in probs]
-    pinv = np.stack([np.pad(p.pinv, (0, M - p.pinv.shape[0])) for p in ps])
-    p = AffineProjector(pinv=pinv, rank=np.array([p.rank for p in ps]),
-                        cond=np.array([p.cond for p in ps]), b=b)
-    return e, b, p
+    return e, b, build_affine_projector(e, b)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -159,11 +157,28 @@ def test_stacked_solve_follows_each_slice(method, field):
                   [ref.recovery_error, ref.residual, ref.trace_value])
 
 
-def test_projector_takes_one_ensemble():
-    probs = problems("real", seed=7)
-    e, b, _ = stack_problems(probs)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        build_affine_projector(e, b)
+@pytest.mark.parametrize("field", FIELDS)
+def test_stacked_projector_is_each_slices_own(field):
+    # n = 4: G has rank at most 10 in the real field and 16 in the complex
+    # one, so the slice of m = 20 is rank-deficient in both; the first
+    # slice's frame is 1e3 times larger, so its G is 1e12 times larger, and
+    # each slice must keep its own cutoff
+    ms = (9, 12, 20)
+    probs = problems(field, ms=ms, seed=7)
+    x0, e0, b0 = probs[0]
+    probs[0] = (x0, SensingEnsemble(vectors=1e3 * e0.vectors),
+                MeasurementVector(values=1e12 * b0.values))
+    _, _, p = stack_problems(probs)
+    assert p.pinv.shape == (len(ms), 20, 20)
+    assert p.rank.shape == p.cond.shape == (len(ms),)
+    assert p.rank[-1] < 20
+    for k, (_, e_k, b_k) in enumerate(probs):
+        alone = build_affine_projector(e_k, b_k)
+        m = e_k.m
+        close(p.pinv[k, :m, :m], alone.pinv, rtol=1e-13 * alone.cond)
+        assert np.all(p.pinv[k, m:] == 0) and np.all(p.pinv[k, :, m:] == 0)
+        assert p.rank[k] == alone.rank
+        assert abs(p.cond[k] - alone.cond) <= 1e-8 * alone.cond
 
 
 def test_one_non_finite_slice_fails_the_stack():
@@ -172,6 +187,6 @@ def test_one_non_finite_slice_fails_the_stack():
     e, b, p = stack_problems(probs)
     pinv = p.pinv.copy()
     pinv[1, 0, 0] = np.nan
-    bad = AffineProjector(pinv=pinv, rank=p.rank, cond=p.cond, b=b)
+    bad = dataclasses.replace(p, pinv=pinv)
     with pytest.raises(RuntimeError, match="iteration 1: non-finite input"):
         solve_dr(bad, e, SolverConfig(max_iters=5))

@@ -175,3 +175,5 @@ def test_traced_grid_call_identities(monkeypatch):
     assert calls["linalg.eig"] == (calls["projections.project_psd"]
                                    + calls["projections.leading_eigenvector"])
     assert calls["eigh"] == calls["linalg.eig"] + calls["projections.build_affine_projector"]
+    # each group's trials share one Gram factorization
+    assert calls["projections.build_affine_projector"] == calls["harness.run_trial"] == 2
