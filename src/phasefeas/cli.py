@@ -8,7 +8,6 @@ import numpy as np
 
 from .harness import (
     GridSpec,
-    _single_blas_thread,
     emit_heatmap,
     run_certify_study,
     run_convergence_study,
@@ -171,8 +170,12 @@ def cmd_solve(args):
 
 
 def main(argv=None):
-    """Run one subcommand on one OpenBLAS thread (see `harness`), so its bytes
-    do not depend on the host's core count."""
+    """Run one subcommand; exit 2 on bad input, 1 on a solver failure.
+
+    Every solve runs on one OpenBLAS thread (see `solvers.solve`), so no
+    command's bytes depend on the host's core count; `certify` solves
+    nothing and is thread-invariant as it is.
+    """
     args = build_parser().parse_args(argv)
     handlers = {
         "grid": cmd_grid,
@@ -181,8 +184,7 @@ def main(argv=None):
         "solve": cmd_solve,
     }
     try:
-        with _single_blas_thread():
-            return handlers[args.command](args)
+        return handlers[args.command](args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -17,17 +17,11 @@ stack then goes to `solve` as one problem, with one Gram factorization
 and one set of calls per step for all its trials.  The groups, and so
 every row, do not depend on the worker count.
 
-Every trial, serial or in a pool worker, runs on one OpenBLAS thread.  Two
-reasons: forked workers that each start their own BLAS threads oversubscribe
-the cores, so the pool would not scale; and OpenBLAS rounds the larger
-kernels (the Gram `eigh` and `Z @ Z.T` above m of about 130) differently at
-one and at several threads, so a trial's bits would depend on where it ran.
-For the second reason `cli.main` runs every command on one OpenBLAS thread.
+A group's solve, serial or in a pool worker, runs on one OpenBLAS thread,
+as every `solve` does (see `solvers`): so the pool's forked workers do not
+oversubscribe the cores, and a trial's bits do not depend on where it ran.
 """
 
-import contextlib
-import ctypes
-import functools
 import math
 import os
 import time
@@ -99,46 +93,16 @@ def _draw_instance(n, m, seed):
             sample_ensemble(n, m, REAL, derive_seed(seed, 1)))
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of numpy's bundled OpenBLAS thread count, or None without it."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Run the body on one OpenBLAS thread and restore the count afterwards.
-
-    Does nothing when numpy's BLAS does not export the OpenBLAS calls.
-    """
-    api = _openblas_threads()
-    if api is None:
-        yield
-        return
-    get, put = api
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def _stacked_solve(n, ms, eps, solver, seeds):
     """(recovery error, residual) of each trial, from one stacked `solve`.
 
     Trial i has `ms[i]` measurements and the seed `seeds[i]`, whose
     sub-streams are 0 = signal direction, 1 = ensemble, 2 = noise.  Z and b
     are zero-padded to the largest m, which is exact (see `projections`).
-    A group of one is solved unstacked, exactly as a lone trial.
+    A failed solve is recorded as (nan, nan) rather than raised: a
+    RuntimeError fails a whole stack (a batched `eigh` rejects it for one
+    non-finite slice), so a failed stack of several trials reruns them one
+    at a time, and only the trials that fail alone get NaN.
     """
     M = max(ms)
     X0, Z, values = [], [], []
@@ -148,26 +112,20 @@ def _stacked_solve(n, ms, eps, solver, seeds):
         X0.append(np.outer(x0, x0))
         Z.append(np.pad(e.vectors, ((0, M - m), (0, 0))))
         values.append(np.pad(b.values, (0, M - m)))
+    # A group of one is solved unstacked, for speed only: a (1, m, n) stack
+    # gives the same bits, but a 1000-step DR solve on one OpenBLAS thread
+    # (2-vCPU Xeon, numpy 2.4) took 37 ms as one against 29 ms unstacked at
+    # (n, m) = (5, 10), and 81 against 77 ms at (20, 110).
     stack = np.stack if len(ms) > 1 else (lambda arrays: arrays[0])
-    last = solve(SensingEnsemble(vectors=stack(Z)), MeasurementVector(values=stack(values)),
-                 solver, X0_true=stack(X0)).points[-1]
-    return list(zip(np.ravel(last.recovery_error).tolist(), np.ravel(last.residual).tolist()))
-
-
-def _solve_group(n, ms, eps, solver, seeds):
-    """`_stacked_solve`, with failures recorded as (nan, nan) rather than raised.
-
-    A RuntimeError fails a whole stack (a batched `eigh` rejects it for one
-    non-finite slice), so a failed group of several trials reruns them as
-    groups of one, and only the trials that fail alone get NaN.
-    """
     try:
-        return _stacked_solve(n, ms, eps, solver, seeds)
+        last = solve(SensingEnsemble(vectors=stack(Z)), MeasurementVector(values=stack(values)),
+                     solver, X0_true=stack(X0)).points[-1]
     except RuntimeError:
         if len(ms) == 1:
             return [(math.nan, math.nan)]
         return [pair for m, seed in zip(ms, seeds)
-                for pair in _solve_group(n, [m], eps, solver, [seed])]
+                for pair in _stacked_solve(n, [m], eps, solver, [seed])]
+    return list(zip(np.ravel(last.recovery_error).tolist(), np.ravel(last.residual).tolist()))
 
 
 def run_trial(n, m, eps, solver, seed, trial=0):
@@ -179,8 +137,7 @@ def run_trial(n, m, eps, solver, seed, trial=0):
     anything is solved.  Each trial draws from sub-streams
     of its own seed: 0 = signal direction, 1 = ensemble, 2 = noise.  Solver
     failures are recorded as NaN rows rather than raised.  Each row's
-    `wall_ms` is an equal share of the group's time.  The group runs on one
-    BLAS thread (see the module docstring).
+    `wall_ms` is an equal share of the group's time.
     """
     shape = np.shape(m)
     if {np.shape(seed), np.shape(trial)} != {shape} or len(shape) > 1 or shape == (0,):
@@ -190,18 +147,12 @@ def run_trial(n, m, eps, solver, seed, trial=0):
     start = time.perf_counter()
     group = shape != ()
     ms, seeds, trials = (m, seed, trial) if group else ([m], [seed], [trial])
-    with _single_blas_thread():
-        results = _solve_group(n, ms, eps, solver, seeds)
+    results = _stacked_solve(n, ms, eps, solver, seeds)
     wall_ms = (time.perf_counter() - start) * 1e3 / len(ms)
     rows = [TrialRow(n=n, m=m_i, trial=t, seed=s, iters=solver.max_iters,
                      recovery_error=err, residual=res, wall_ms=wall_ms)
             for m_i, s, t, (err, res) in zip(ms, seeds, trials, results)]
     return rows if group else rows[0]
-
-
-def _grid_task(args):
-    n, ms, trials, seeds, eps, solver = args
-    return run_trial(n, ms, eps, solver, seeds, trial=trials)
 
 
 def _usable_cores():
@@ -234,19 +185,19 @@ def run_grid(spec, workers=None):
     tasks = []
     for n in spec.n_values:
         for i in range(0, len(trials), STACK_SIZE):
-            stack = trials[i:i + STACK_SIZE]
-            seeds = tuple(derive_seed(spec.master_seed, n, m, t) for m, t in stack)
-            tasks.append((n, *zip(*stack), seeds, spec.eps, spec.solver))
+            ms, ts = zip(*trials[i:i + STACK_SIZE])
+            seeds = tuple(derive_seed(spec.master_seed, n, m, t) for m, t in zip(ms, ts))
+            tasks.append((n, ms, spec.eps, spec.solver, seeds, ts))
     tasks.sort(key=_group_cost, reverse=True)
     if workers is None:
         workers = _usable_cores()
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(tasks) == 1:
-        done = [_grid_task(t) for t in tasks]
+        done = [run_trial(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_grid_task, tasks, chunksize=1))
+            done = list(pool.map(run_trial, *zip(*tasks), chunksize=1))
     rows = sorted((r for group in done for r in group), key=lambda r: (r.n, r.m, r.trial))
     return GridResult(spec=spec, rows=rows)
 

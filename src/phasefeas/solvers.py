@@ -8,6 +8,13 @@ picks one by ``cfg.method``:
 * ``solve_nesterov`` accelerated projected gradient on
                      g(X) = 1/2 ||L(X) - b||^2 + lambda tr(X).
 
+``solve`` runs the whole solve, the Gram factorization included, on one
+OpenBLAS thread: OpenBLAS rounds the larger kernels (the Gram `eigh` and
+`Z @ Z.T` above m of about 130) differently at one and at several
+threads, and forked grid workers that each start their own threads would
+oversubscribe the cores.  Every CLI solve and grid trial goes through
+``solve``; a direct call of a solver below runs at the caller's count.
+
 Each solver is a generator `steps(X_0, L(X_0))`: it yields iteration 0 and
 then one (X_k, L(X_k)) per `next`, and keeps the state its recurrence
 carries (DR's multiplier, Nesterov's extrapolated point and theta) in local
@@ -45,10 +52,13 @@ problems with fewer rows).  Each call then serves all T slices.  The trace
 is one SolverTrace: each record holds one value per slice, as lists, and
 `final_X` has shape (T, n, n).  One failing slice fails the whole solve (a
 batched `eigh` rejects the stack when one slice is non-finite, and
-Nesterov's divergence guard checks every slice); `harness.run_trial`
-reruns such a stack one problem at a time.
+Nesterov's divergence guard checks every slice); the grid
+(`harness._stacked_solve`) reruns such a stack one problem at a time.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -289,16 +299,58 @@ def solve_nesterov(e, b, cfg, X0_true=None):
     return _iterate(NESTEROV, e, b, cfg, X0_true, None, steps)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None without it.
+
+    numpy 2 wheels export the calls as `scipy_openblas_*`, numpy 1.x wheels
+    as `openblas_*`; both are tried, in that order.
+    """
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+            get = getattr(lib, f"{prefix}_get_num_threads64_")
+            put = getattr(lib, f"{prefix}_set_num_threads64_")
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the count afterwards.
+
+    Does nothing when numpy's BLAS does not export the OpenBLAS calls.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def solve(e, b, cfg, X0_true=None):
     """Run the solver that `cfg.method` names on the measurements `b` of `e`.
 
-    DR and POCS build the affine projector first; Nesterov needs none.
+    DR and POCS build the affine projector first; Nesterov needs none.  All
+    of it runs on one OpenBLAS thread (see the module docstring), and the
+    previous count comes back on return and on an exception.
     """
-    if cfg.method == NESTEROV:
-        return solve_nesterov(e, b, cfg, X0_true=X0_true)
-    p = build_affine_projector(e, b)
-    method = solve_dr if cfg.method == DR else solve_pocs
-    return method(p, e, cfg, X0_true=X0_true)
+    with _single_blas_thread():
+        if cfg.method == NESTEROV:
+            return solve_nesterov(e, b, cfg, X0_true=X0_true)
+        p = build_affine_projector(e, b)
+        method = solve_dr if cfg.method == DR else solve_pocs
+        return method(p, e, cfg, X0_true=X0_true)
 
 
 def _next_theta(theta):

@@ -1,4 +1,7 @@
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 
 from phasefeas import harness
-from phasefeas.cli import main, parse_range, read_measurements
+from phasefeas.cli import build_parser, main, parse_range, read_measurements
 from phasefeas.linalg import COMPLEX, REAL
 from phasefeas.sensing import measure, sample_ensemble
 
@@ -27,6 +30,20 @@ def write_measurements(path, e, b):
             rows.append(flat + [repr(float(v))])
     lines = [",".join(header)] + [",".join(r) for r in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def readme_commands():
+    """Every `phasefeas ...` command in README's ```sh blocks, continuation lines joined."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("phasefeas ")]
+
+
+def test_readme_commands_parse():
+    # a flag renamed or removed in the parser but not in README fails here (argparse exits 2)
+    commands = {build_parser().parse_args(argv[1:]).command for argv in readme_commands()}
+    assert commands == {"grid", "converge", "certify", "solve"}
 
 
 class TestParseRange:
@@ -338,18 +355,30 @@ def run_cli(args, blas_threads, cwd):
     return done.stdout
 
 
+def assert_same_files(args, files, tmp_path):
+    """The CLI writes the same `files` files under `--out` at one and at two OpenBLAS threads."""
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        run_cli(args + ["--out", str(out)], threads, tmp_path)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == files
+    assert outputs[0] == outputs[1]
+
+
 class TestBlasThreadCountInvariance:
     # Above m of about 130 OpenBLAS rounds the Gram eigh and Z @ Z.T
-    # differently at one and at two threads; every command runs on one.
+    # differently at one and at two threads; every solve runs on one.
     def test_converge_bytes(self, tmp_path):
-        outputs = []
-        for threads in (1, 2):
-            out = tmp_path / str(threads)
-            run_cli(["converge", "--n", "20", "--m", "250", "--iters", "300", "--out", str(out)],
-                    threads, tmp_path)
-            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(outputs[0]) == 6
-        assert outputs[0] == outputs[1]
+        assert_same_files(["converge", "--n", "20", "--m", "250", "--iters", "300"], 6, tmp_path)
+
+    def test_certify_bytes(self, tmp_path):
+        # certify solves nothing, so it runs at the host's thread count
+        assert_same_files(["certify", "--n", "20", "--m", "1199", "--seeds", "4"], 2, tmp_path)
+
+    def test_grid_bytes(self, tmp_path):
+        assert_same_files(["--threads", "2", "grid", "--n", "10:12:2", "--m", "130:190:30",
+                           "--trials", "3", "--iters", "100"], 2, tmp_path)
 
     def test_solve_bytes(self, tmp_path):
         n, m = 50, 250

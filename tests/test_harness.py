@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from phasefeas import harness
+from phasefeas import harness, solvers
 from phasefeas.harness import (
     GridResult,
     GridSpec,
@@ -17,7 +17,7 @@ from phasefeas.harness import (
     sample_unit_sphere,
     write_grid_csv,
 )
-from phasefeas.sensing import MeasurementVector, derive_seed
+from phasefeas.sensing import MeasurementVector, derive_seed, measure, sample_ensemble
 from phasefeas.solvers import SolverConfig
 
 
@@ -59,7 +59,7 @@ class TestRunTrial:
         def no_solve(*args):
             raise AssertionError("a group was solved")
 
-        monkeypatch.setattr(harness, "_solve_group", no_solve)
+        monkeypatch.setattr(harness, "_stacked_solve", no_solve)
         with pytest.raises(ValueError, match="dimension mismatch"):
             run_trial(3, [6, 9], 0.1, fast_cfg(20), seed, trial=trial)
 
@@ -127,13 +127,13 @@ class TestRunGrid:
         # each n's 9 trials, in (m, trial) order, are cut into a stack of 8
         # and a stack of 1; a group costs T n^2 (M + n)
         order = []
-        task = harness._grid_task
+        task = harness.run_trial
 
-        def recorded(args):
-            order.append(args[:3])
-            return task(args)
+        def recorded(n, ms, eps, solver, seeds, trials):
+            order.append((n, ms, trials))
+            return task(n, ms, eps, solver, seeds, trials)
 
-        monkeypatch.setattr(harness, "_grid_task", recorded)
+        monkeypatch.setattr(harness, "run_trial", recorded)
         spec = GridSpec(n_values=[2, 5, 3], m_values=[6, 20, 30], trials=3, solver=fast_cfg(5))
         result = run_grid(spec, workers=1)
         costs = [len(ms) * n * n * (max(ms) + n) for n, ms, _ in order]
@@ -158,21 +158,21 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks, chunksize=1):
-        return [fn(t) for t in tasks]
+    def map(self, fn, *iterables, chunksize=1):
+        return [fn(*args) for args in zip(*iterables)]
 
 
 class TestGrouping:
     def tasks(self, monkeypatch, spec, workers):
         seen = []
-        task = harness._grid_task
+        task = harness.run_trial
 
-        def recorded(args):
-            seen.append(args[:4])
-            return task(args)
+        def recorded(n, ms, eps, solver, seeds, trials):
+            seen.append((n, ms, trials, seeds))
+            return task(n, ms, eps, solver, seeds, trials)
 
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_grid_task", recorded)
+            patch.setattr(harness, "run_trial", recorded)
             patch.setattr(harness, "ProcessPoolExecutor", SerialPool)
             run_grid(spec, workers=workers)
         return seen
@@ -257,7 +257,7 @@ class TestFailingSlice:
 class TestSingleBlasThread:
     @pytest.fixture
     def blas(self):
-        api = harness._openblas_threads()
+        api = solvers._openblas_threads()
         if api is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread calls")
         get, put = api
@@ -268,17 +268,18 @@ class TestSingleBlasThread:
 
     @pytest.mark.parametrize("raises", [False, True])
     def test_run_trial_restores_thread_count(self, blas, monkeypatch, raises):
-        # a trial's solve is the stacked solve of its group (of one)
+        # a trial's solve is the stacked solve of its group (of one), and
+        # `solve` pins the thread count around the DR solver it calls
         inside = []
-        solve = harness.solve
+        solve_dr = solvers.solve_dr
 
         def probe(*args, **kwargs):
             inside.append(blas())
             if raises:
                 raise KeyError("not a solver failure")
-            return solve(*args, **kwargs)
+            return solve_dr(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "solve", probe)
+        monkeypatch.setattr(solvers, "solve_dr", probe)
         before = blas()
         if raises:
             with pytest.raises(KeyError):
@@ -288,20 +289,90 @@ class TestSingleBlasThread:
         assert inside == [1]
         assert blas() == before
 
+    @pytest.mark.parametrize("raises", [False, True])
+    @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
+    def test_solve_runs_on_one_thread(self, blas, monkeypatch, method, raises):
+        # the Gram factorization and the iterations run inside the pin
+        inside = []
+
+        def probe(name):
+            real = getattr(solvers, name)
+
+            def probed(*args, **kwargs):
+                inside.append((name, blas()))
+                if raises and name.startswith("solve_"):
+                    raise KeyError("not a solver failure")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(solvers, name, probed)
+
+        for name in ("build_affine_projector", "solve_dr", "solve_pocs", "solve_nesterov"):
+            probe(name)
+        e = sample_ensemble(3, 12, seed=1)
+        b = measure(e, np.ones(3))
+        cfg = SolverConfig(method=method, max_iters=5, alpha=1e-4)
+        before = blas()
+        if raises:
+            with pytest.raises(KeyError):
+                solvers.solve(e, b, cfg)
+        else:
+            solvers.solve(e, b, cfg)
+        factor = [] if method == "nesterov" else [("build_affine_projector", 1)]
+        assert inside == factor + [(f"solve_{method}", 1)]
+        assert blas() == before
+
     @pytest.fixture
-    def no_openblas(self, monkeypatch):
+    def cdll(self, monkeypatch):
+        """Install a stand-in for `ctypes.CDLL` for the resolver to look the calls up in."""
+        def install(stand_in):
+            monkeypatch.setattr(solvers.ctypes, "CDLL", stand_in)
+            solvers._openblas_threads.cache_clear()
+
+        yield install
+        solvers._openblas_threads.cache_clear()
+
+    @pytest.fixture
+    def no_openblas(self, cdll):
         """The resolver as it runs against a BLAS without the OpenBLAS calls."""
         class NoSymbols:
             def __init__(self, path):
                 self.path = path
 
-        monkeypatch.setattr(harness.ctypes, "CDLL", NoSymbols)
-        harness._openblas_threads.cache_clear()
-        yield
-        harness._openblas_threads.cache_clear()
+        cdll(NoSymbols)
+
+    def test_numpy_1_names_are_found(self, cdll, monkeypatch):
+        # numpy 1.x wheels export the calls without numpy 2's `scipy_` prefix
+        count = [4]
+        calls = []
+
+        class OldNames:
+            def __init__(self, path):
+                def get():
+                    return count[0]
+
+                def put(k):
+                    calls.append(k)
+                    count[0] = k
+
+                self.openblas_get_num_threads64_ = get
+                self.openblas_set_num_threads64_ = put
+
+        cdll(OldNames)
+        assert solvers._openblas_threads() is not None
+        inside = []
+        solve_dr = solvers.solve_dr
+
+        def probe(*args, **kwargs):
+            inside.append(count[0])
+            return solve_dr(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_dr", probe)
+        run_trial(3, 12, 0.05, fast_cfg(20), seed=7)
+        assert inside == [1]
+        assert calls == [1, 4]
 
     def test_missing_symbols_are_a_no_op(self, no_openblas):
-        assert harness._openblas_threads() is None
+        assert solvers._openblas_threads() is None
         spec = GridSpec(n_values=[2, 3], m_values=[6, 9], trials=2, eps=0.1,
                         solver=fast_cfg(30), master_seed=11)
         serial = run_grid(spec, workers=1)
