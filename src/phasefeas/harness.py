@@ -14,8 +14,9 @@ consecutive runs of at most `STACK_SIZE`, so that a group's trials have
 neighbouring m and a group's memory is bounded.  Each trial is drawn on
 its own, as a lone trial, and zero-padded to the group's largest m; the
 stack then goes to `solve` as one problem, with one Gram factorization
-and one set of calls per step for all its trials.  The groups, and so
-every row, do not depend on the worker count.
+and one set of calls per step for all its trials.  A lone trial runs
+the same way, as a stack of one, which gives the unstacked solve's bits.
+The groups, and so every row, do not depend on the worker count.
 
 A group's solve, serial or in a pool worker, runs on one OpenBLAS thread,
 as every `solve` does (see `solvers`): so the pool's forked workers do not
@@ -72,7 +73,7 @@ class TrialRow:
     iters: int
     recovery_error: float  # nan marks a failed solve
     residual: float
-    wall_ms: float         # an equal share of the group's time; informational only, never serialized
+    wall_ms: float         # an equal share of its solve's time; informational only, never serialized
 
 
 @dataclass
@@ -93,51 +94,22 @@ def _draw_instance(n, m, seed):
             sample_ensemble(n, m, REAL, derive_seed(seed, 1)))
 
 
-def _stacked_solve(n, ms, eps, solver, seeds):
-    """(recovery error, residual) of each trial, from one stacked `solve`.
-
-    Trial i has `ms[i]` measurements and the seed `seeds[i]`, whose
-    sub-streams are 0 = signal direction, 1 = ensemble, 2 = noise.  Z and b
-    are zero-padded to the largest m, which is exact (see `projections`).
-    A failed solve is recorded as (nan, nan) rather than raised: a
-    RuntimeError fails a whole stack (a batched `eigh` rejects it for one
-    non-finite slice), so a failed stack of several trials reruns them one
-    at a time, and only the trials that fail alone get NaN.
-    """
-    M = max(ms)
-    X0, Z, values = [], [], []
-    for m, seed in zip(ms, seeds):
-        x0, e = _draw_instance(n, m, seed)
-        b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(seed, 2))
-        X0.append(np.outer(x0, x0))
-        Z.append(np.pad(e.vectors, ((0, M - m), (0, 0))))
-        values.append(np.pad(b.values, (0, M - m)))
-    # A group of one is solved unstacked, for speed only: a (1, m, n) stack
-    # gives the same bits, but a 1000-step DR solve on one OpenBLAS thread
-    # (2-vCPU Xeon, numpy 2.4) took 37 ms as one against 29 ms unstacked at
-    # (n, m) = (5, 10), and 81 against 77 ms at (20, 110).
-    stack = np.stack if len(ms) > 1 else (lambda arrays: arrays[0])
-    try:
-        last = solve(SensingEnsemble(vectors=stack(Z)), MeasurementVector(values=stack(values)),
-                     solver, X0_true=stack(X0)).points[-1]
-    except RuntimeError:
-        if len(ms) == 1:
-            return [(math.nan, math.nan)]
-        return [pair for m, seed in zip(ms, seeds)
-                for pair in _stacked_solve(n, [m], eps, solver, [seed])]
-    return list(zip(np.ravel(last.recovery_error).tolist(), np.ravel(last.residual).tolist()))
-
-
 def run_trial(n, m, eps, solver, seed, trial=0):
     """One group of fully seeded experiments of one n: sample, measure, corrupt, solve.
 
     `m`, `seed` and `trial` are one value each, for one trial and one
-    TrialRow, or equal-length sequences, for a group solved as one stack and
-    a list of TrialRows in that order; any other mix raises ValueError before
-    anything is solved.  Each trial draws from sub-streams
-    of its own seed: 0 = signal direction, 1 = ensemble, 2 = noise.  Solver
-    failures are recorded as NaN rows rather than raised.  Each row's
-    `wall_ms` is an equal share of the group's time.
+    TrialRow, or equal-length sequences, for a group and a list of
+    TrialRows in that order; any other mix raises ValueError before
+    anything is solved.  Either way the trials go to `solve` as one stack
+    (T, M, n), T >= 1, with Z and b zero-padded to the largest m, which is
+    exact (see `projections`); a stack of one gives the lone solve's bits.
+    Each trial draws from sub-streams of its own seed: 0 = signal
+    direction, 1 = ensemble, 2 = noise.  A failed solve is recorded as a
+    NaN row rather than raised: a RuntimeError fails a whole stack (a
+    batched `eigh` rejects it for one non-finite slice), so a failed group
+    of several trials reruns them one at a time, and only the trials that
+    fail alone get NaN.  Each row's `wall_ms` is an equal share of its
+    solve's time: of the group's, or of its own rerun's.
     """
     shape = np.shape(m)
     if {np.shape(seed), np.shape(trial)} != {shape} or len(shape) > 1 or shape == (0,):
@@ -147,7 +119,24 @@ def run_trial(n, m, eps, solver, seed, trial=0):
     start = time.perf_counter()
     group = shape != ()
     ms, seeds, trials = (m, seed, trial) if group else ([m], [seed], [trial])
-    results = _stacked_solve(n, ms, eps, solver, seeds)
+    M = max(ms)
+    X0, Z, values = [], [], []
+    for m_i, s in zip(ms, seeds):
+        x0, e = _draw_instance(n, m_i, s)
+        b = add_noise(measure(e, x0), eps, 1.0, seed=derive_seed(s, 2))
+        X0.append(np.outer(x0, x0))
+        Z.append(np.pad(e.vectors, ((0, M - m_i), (0, 0))))
+        values.append(np.pad(b.values, (0, M - m_i)))
+    try:
+        last = solve(SensingEnsemble(vectors=np.stack(Z)),
+                     MeasurementVector(values=np.stack(values)),
+                     solver, X0_true=np.stack(X0)).points[-1]
+    except RuntimeError:
+        if group:
+            return [run_trial(n, m_i, eps, solver, s, t) for m_i, s, t in zip(ms, seeds, trials)]
+        results = [(math.nan, math.nan)]
+    else:
+        results = zip(last.recovery_error, last.residual)
     wall_ms = (time.perf_counter() - start) * 1e3 / len(ms)
     rows = [TrialRow(n=n, m=m_i, trial=t, seed=s, iters=solver.max_iters,
                      recovery_error=err, residual=res, wall_ms=wall_ms)

@@ -124,8 +124,11 @@ def leading_eigenvector(X):
     Returns (lambda_1, unit vector, lambda_2), with lambda_2 = 0.0 for a
     1 x 1 matrix, all from one factorization.  The vector is rotated so its
     largest-magnitude component (first index on magnitude ties) is real and
-    positive, which makes outputs comparable across runs.
+    positive, which makes outputs comparable across runs.  X must be one
+    matrix: a stack raises ValueError.
     """
+    if np.ndim(X) != 2:
+        raise ValueError(f"dimension mismatch: one matrix expected, got shape {np.shape(X)}")
     values, vectors = eig(X)
     v = vectors[:, 0]
     # eigh columns are unit-norm, so the pivot is not zero.  The modulus comes

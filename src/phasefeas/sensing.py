@@ -186,11 +186,15 @@ def add_noise(b, eps, x0_norm, seed=0):
 
     The noise saturates the feasibility radius exactly, which keeps the
     stability experiments tight and reproducible.  eps = 0 returns b itself.
+    b must be one problem's (m,) vector; a stack raises ValueError.
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
     if not math.isfinite(x0_norm):
         raise ValueError(f"x0_norm must be a finite number, got {x0_norm!r}")
+    if b.values.ndim != 1:
+        raise ValueError(f"dimension mismatch: b must be one (m,) vector, "
+                         f"got shape {b.values.shape}")
     if eps == 0:
         return b
     rng = np.random.default_rng(seed)

@@ -53,7 +53,7 @@ is one SolverTrace: each record holds one value per slice, as lists, and
 `final_X` has shape (T, n, n).  One failing slice fails the whole solve (a
 batched `eigh` rejects the stack when one slice is non-finite, and
 Nesterov's divergence guard checks every slice); the grid
-(`harness._stacked_solve`) reruns such a stack one problem at a time.
+(`harness.run_trial`) reruns such a stack one problem at a time.
 """
 
 import contextlib
@@ -372,7 +372,14 @@ def round_to_vector(trace):
 
 
 def write_trace_csv(trace, path):
-    """Trace export: one row per recorded iteration, round-trip floats."""
+    """Trace export: one row per recorded iteration, round-trip floats.
+
+    Takes the trace of one problem; a stacked trace, whose records hold
+    one value per slice, raises ValueError before anything is written.
+    """
+    if np.ndim(trace.final_X) > 2:
+        raise ValueError(f"dimension mismatch: one problem's trace expected, got a stack "
+                         f"with final_X of shape {trace.final_X.shape}")
     with open(path, "w") as fh:
         fh.write("iter,recovery_error,residual,trace_value\n")
         for pt in trace.points:

@@ -56,10 +56,10 @@ class TestRunTrial:
     @pytest.mark.parametrize("seed, trial", [([1], [0, 1]), ([1, 2], 0)],
                              ids=["short-seed", "scalar-trial"])
     def test_mismatched_group_rejected_before_solving(self, monkeypatch, seed, trial):
-        def no_solve(*args):
+        def no_solve(*args, **kwargs):
             raise AssertionError("a group was solved")
 
-        monkeypatch.setattr(harness, "_stacked_solve", no_solve)
+        monkeypatch.setattr(harness, "solve", no_solve)
         with pytest.raises(ValueError, match="dimension mismatch"):
             run_trial(3, [6, 9], 0.1, fast_cfg(20), seed, trial=trial)
 
@@ -146,6 +146,33 @@ class TestRunGrid:
         assert keys == sorted(keys) and len(keys) == 27
 
 
+class TestEveryTrialIsAStack:
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        """The shapes of (Z, b, X0) that each `solve` call from the harness gets."""
+        seen = []
+        solve = harness.solve
+
+        def recorded(e, b, cfg, X0_true=None):
+            seen.append((e.vectors.shape, b.values.shape, X0_true.shape))
+            return solve(e, b, cfg, X0_true=X0_true)
+
+        monkeypatch.setattr(harness, "solve", recorded)
+        return seen
+
+    def test_lone_trial_is_a_stack_of_one(self, shapes):
+        row = run_trial(3, 12, 0.05, fast_cfg(20), seed=7)
+        assert isinstance(row, TrialRow) and row.m == 12
+        assert shapes == [((1, 12, 3), (1, 12), (1, 3, 3))]
+
+    def test_grid_of_8_plus_1(self, shapes):
+        # the 9 trials of n = 3 make a stack of 8 (m up to 12) and one of 1
+        spec = GridSpec(n_values=[3], m_values=[6, 9, 12], trials=3, eps=0.1,
+                        solver=fast_cfg(20), master_seed=2)
+        assert len(run_grid(spec, workers=1).rows) == 9
+        assert shapes == [((8, 12, 3), (8, 12), (8, 3, 3)), ((1, 12, 3), (1, 12), (1, 3, 3))]
+
+
 class SerialPool:
     """A stand-in for ProcessPoolExecutor that runs the tasks in order, in process."""
 
@@ -225,14 +252,14 @@ class TestFailingSlice:
             return out
 
         sizes = []
-        stacked_solve = harness._stacked_solve
+        solve = harness.solve
 
-        def recorded(n, ms, *args):
-            sizes.append(len(ms))
-            return stacked_solve(n, ms, *args)
+        def recorded(e, *args, **kwargs):
+            sizes.append(e.vectors.shape[0])
+            return solve(e, *args, **kwargs)
 
         monkeypatch.setattr(harness, "add_noise", poisoned)
-        monkeypatch.setattr(harness, "_stacked_solve", recorded)
+        monkeypatch.setattr(harness, "solve", recorded)
         serial = run_grid(spec, workers=1)
         assert sizes == [8] + [1] * 8
         for r in serial.rows:

@@ -304,6 +304,11 @@ class TestLeadingEigenvector:
         assert val1 == pytest.approx(1.0)
         assert np.array_equal(v1, v2)  # convention is deterministic
 
+    def test_stack_rejected(self):
+        X = np.stack([np.eye(3), 2 * np.eye(3)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            leading_eigenvector(X)
+
     def test_perturbation_alignment(self):
         # spectral perturbation of size 0.01 keeps the top eigenvector
         # within the Weyl-type bound |<v, x0>|^2 >= 1 - 4 (2*0.01)^2

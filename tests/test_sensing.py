@@ -332,6 +332,13 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="x0_norm must be a finite number"):
             add_noise(b, 0.1, x0_norm, seed=0)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4)], ids=["T=m", "T!=m"])
+    def test_stacked_b_rejected(self, shape):
+        # one noise vector would be broadcast to every slice when T = m
+        b = MeasurementVector(values=np.ones(shape))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            add_noise(b, 0.1, 1.0, seed=0)
+
 
 def test_derive_seed_stable_and_disjoint():
     s1 = derive_seed(42, 1, 2, 3)

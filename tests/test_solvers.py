@@ -308,6 +308,11 @@ class TestRoundToVector:
         with pytest.raises(RuntimeError, match="no positive component"):
             round_to_vector(t)
 
+    def test_stacked_trace_rejected(self):
+        t = SolverTrace(final_X=np.stack([np.eye(3), 2 * np.eye(3)]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            round_to_vector(t)
+
     def test_noisy_vector_error_constant(self):
         # empirical stability constant for the rounded vector; the theory
         # gives some C, the observed value stays below 8
@@ -335,6 +340,17 @@ class TestTraceExport:
         assert int(first[0]) == 0
         # shortest round-trip floats parse back exactly
         assert float(first[2]) == t.points[0].residual
+
+    def test_stacked_trace_rejected(self, tmp_path):
+        # a stacked record holds one value per slice, which has no CSV row
+        probs = [setup_instance(3, 9, seed) for seed in (9, 10)]
+        e = SensingEnsemble(vectors=np.stack([e.vectors for e, _, _ in probs]))
+        b = MeasurementVector(values=np.stack([b.values for _, b, _ in probs]))
+        t = solve(e, b, SolverConfig(max_iters=4, record_every=2))
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            write_trace_csv(t, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
     def test_iterations_strictly_increasing(self, method):

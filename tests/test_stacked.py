@@ -23,7 +23,7 @@ from phasefeas.sensing import (
     measure,
     sample_ensemble,
 )
-from phasefeas.solvers import SolverConfig, solve_dr, solve_nesterov, solve_pocs
+from phasefeas.solvers import SolverConfig, solve, solve_dr, solve_nesterov, solve_pocs
 
 N = 4
 MS = (9, 12, 16)   # the m of one stack, padded to 16 rows
@@ -155,6 +155,25 @@ def test_stacked_solve_follows_each_slice(method, field):
         for pt, ref in zip(t.points, alone.points):
             agree([pt.recovery_error[k], pt.residual[k], pt.trace_value[k]],
                   [ref.recovery_error, ref.residual, ref.trace_value])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
+def test_stack_of_one_is_the_lone_solve_bit_for_bit(method, field):
+    # the grid runs a lone trial as a (1, m, n) stack
+    (x0, e, b), = problems(field, ms=(12,), seed=9)
+    X0 = np.outer(x0, x0.conj())
+    cfg = SolverConfig(method=method, max_iters=60, record_every=7, alpha=1e-3)
+    alone = solve(e, b, cfg, X0_true=X0)
+    t = solve(SensingEnsemble(vectors=e.vectors[None]), MeasurementVector(values=b.values[None]),
+              cfg, X0_true=X0[None])
+    assert np.array_equal(t.final_X, alone.final_X[None])
+    assert len(t.points) == len(alone.points)
+    for pt, ref in zip(t.points, alone.points):
+        assert pt.iteration == ref.iteration
+        assert pt.recovery_error == [ref.recovery_error]
+        assert pt.residual == [ref.residual]
+        assert pt.trace_value == [ref.trace_value]
 
 
 @pytest.mark.parametrize("field", FIELDS)
