@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 
+from .certificate import CertificateParams
 from .harness import (
     GridSpec,
     emit_heatmap,
@@ -42,26 +43,26 @@ def build_parser():
     g = sub.add_parser("grid", help="phase-transition grid -> grid.csv + heatmap.pgm")
     g.add_argument("--n", default="5:50:5")
     g.add_argument("--m", default="10:250:10")
-    g.add_argument("--trials", type=int, default=10)
-    g.add_argument("--eps", type=float, default=0.1)
-    g.add_argument("--solver", choices=["dr", "nesterov"], default="dr")
-    g.add_argument("--alpha", type=float, default=2e-4)
-    g.add_argument("--lambda", dest="lambda_trace", type=float, default=0.0)
-    g.add_argument("--iters", type=int, default=1000)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--trials", type=int, default=GridSpec.trials)
+    g.add_argument("--eps", type=float, default=GridSpec.eps)
+    g.add_argument("--solver", choices=["dr", "nesterov"], default=SolverConfig.method)
+    g.add_argument("--alpha", type=float, default=SolverConfig.alpha)
+    g.add_argument("--lambda", dest="lambda_trace", type=float, default=SolverConfig.lambda_trace)
+    g.add_argument("--iters", type=int, default=SolverConfig.max_iters)
+    g.add_argument("--seed", type=int, default=GridSpec.master_seed)
     g.add_argument("--out", required=True)
 
     c = sub.add_parser("converge", help="convergence traces -> six CSVs")
     c.add_argument("--n", type=int, default=10)
     c.add_argument("--m", type=int, default=60)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--iters", type=int, default=1000)
+    c.add_argument("--iters", type=int, default=SolverConfig.max_iters)
     c.add_argument("--out", required=True)
 
     y = sub.add_parser("certify", help="dual-certificate checks -> CSV + summary")
     y.add_argument("--n", type=int, default=20)
     y.add_argument("--m", type=int, required=True)
-    y.add_argument("--beta", type=float, default=1.0)
+    y.add_argument("--beta", type=float, default=CertificateParams.beta)
     y.add_argument("--seeds", type=int, default=100)
     y.add_argument("--seed", type=int, default=0)
     y.add_argument("--out", required=True)
@@ -71,7 +72,7 @@ def build_parser():
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--seed", type=int, default=0,
                    help="does not change the result: DR starts from X = 0 and draws nothing")
-    s.add_argument("--iters", type=int, default=1000)
+    s.add_argument("--iters", type=int, default=SolverConfig.max_iters)
     return parser
 
 
@@ -79,7 +80,7 @@ def cmd_grid(args):
     if args.threads < 0:
         raise ValueError(f"--threads must be >= 0 (0 = all usable cores), got {args.threads}")
     cfg = SolverConfig(method=args.solver, max_iters=args.iters, alpha=args.alpha,
-                       lambda_trace=args.lambda_trace, record_every=args.iters)
+                       lambda_trace=args.lambda_trace)
     spec = GridSpec(n_values=parse_range(args.n), m_values=parse_range(args.m),
                     trials=args.trials, eps=args.eps, solver=cfg,
                     master_seed=args.seed)
@@ -157,7 +158,7 @@ def read_measurements(path, n):
 
 def cmd_solve(args):
     e, b = read_measurements(args.input, args.n)
-    cfg = SolverConfig(method="dr", max_iters=args.iters, record_every=args.iters)
+    cfg = SolverConfig(max_iters=args.iters, record_every=args.iters)
     trace = solve(e, b, cfg)
     x, gap = round_to_vector(trace)
     for v in x:

@@ -1,12 +1,16 @@
 """Experiment harness: phase-transition grids, convergence traces, heatmaps,
 and dual-certificate studies.
 
-Every trial is a pure function of its seed: the signal, the ensemble, and
-the noise draw all come from sub-streams of the per-trial seed, and the
-per-trial seed is derived from (master_seed, n, m, trial).  Grid execution
-is therefore invariant to worker count and ordering, and rerunning any
-command with the same seed reproduces its CSV/PGM artifacts byte for byte
-(which is why the nondeterministic wall_ms column stays out of the files).
+A trial draws from its own seed only: the signal, the ensemble, and the
+noise draw all come from sub-streams of the per-trial seed, and the
+per-trial seed is derived from (master_seed, n, m, trial).  A grid row is
+a function of its seed and of the grid's spec: the spec fixes the trial's
+stack-mates, and the zero padding to their largest m moves the order of
+rounding (see below), so a row that two specs share agrees between them
+within 1e-12 + 1e-8|v|, not bit for bit.  The worker count, the order of
+execution and a rerun change no byte: rerunning any command with the same
+arguments reproduces its CSV/PGM artifacts byte for byte (which is why
+the nondeterministic wall_ms column stays out of the files).
 
 A grid runs its trials in groups, one stacked solve per group (see
 `solvers`): the trials of one n, sorted by (m, trial) and cut into
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .certificate import CertificateParams, build_certificate, check_certificate
+from .linalg import require_integer
 from .sensing import (REAL, MeasurementVector, SensingEnsemble, add_noise, derive_seed, measure,
                       sample_ensemble)
 from .solvers import DR, NESTEROV, SolverConfig, solve, write_trace_csv
@@ -45,6 +50,12 @@ STACK_SIZE = 8
 
 @dataclass
 class GridSpec:
+    """The grid: distinct n and m values, trials per cell, noise level, solver and seed.
+
+    `solver.record_every` does not apply to a grid: each trial keeps only
+    its last point (see `run_trial`).
+    """
+
     n_values: list
     m_values: list
     trials: int = 10
@@ -55,6 +66,14 @@ class GridSpec:
     def __post_init__(self):
         if not self.n_values or not self.m_values:
             raise ValueError("n_values and m_values must be nonempty")
+        for name in ("n_values", "m_values"):
+            values = getattr(self, name)
+            for v in values:
+                require_integer(f"every value in {name}", v)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values!r}")
+        require_integer("trials", self.trials)
+        require_integer("master_seed", self.master_seed)
         if min(self.n_values) < 1 or min(self.m_values) < 1:
             raise ValueError(f"n and m must be >= 1, got smallest n={min(self.n_values)}, "
                              f"m={min(self.m_values)}")
@@ -109,7 +128,10 @@ def run_trial(n, m, eps, solver, seed, trial=0):
     batched `eigh` rejects it for one non-finite slice), so a failed group
     of several trials reruns them one at a time, and only the trials that
     fail alone get NaN.  Each row's `wall_ms` is an equal share of its
-    solve's time: of the group's, or of its own rerun's.
+    solve's time: of the group's, or of its own rerun's.  A trial keeps
+    only its last point, so it solves with `record_every = max_iters`
+    whatever `solver.record_every` says; the last point is the same at
+    any `record_every`.
     """
     shape = np.shape(m)
     if {np.shape(seed), np.shape(trial)} != {shape} or len(shape) > 1 or shape == (0,):
@@ -130,7 +152,8 @@ def run_trial(n, m, eps, solver, seed, trial=0):
     try:
         last = solve(SensingEnsemble(vectors=np.stack(Z)),
                      MeasurementVector(values=np.stack(values)),
-                     solver, X0_true=np.stack(X0)).points[-1]
+                     replace(solver, record_every=solver.max_iters),
+                     X0_true=np.stack(X0)).points[-1]
     except RuntimeError:
         if group:
             return [run_trial(n, m_i, eps, solver, s, t) for m_i, s, t in zip(ms, seeds, trials)]
@@ -258,7 +281,7 @@ CONVERGENCE_METHODS = (
 )
 
 
-def run_convergence_study(n, m, seed, out_dir, iters=1000):
+def run_convergence_study(n, m, seed, out_dir, iters=SolverConfig.max_iters):
     """Noiseless and eps=0.1 traces for the three reference iterations.
 
     Writes `{method}_{eps}.csv` per combination, six files in `out_dir`,

@@ -9,6 +9,8 @@ BLAS `syrk`, which fills one triangle and mirrors it.  `hermitize`,
 and act on each slice as on one matrix.
 """
 
+import operator
+
 import numpy as np
 
 REAL = "real"
@@ -45,6 +47,17 @@ def require_square(X):
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"dimension mismatch: matrix must be square, got shape {X.shape}")
     return X
+
+
+def require_integer(name, value):
+    """Raise ValueError naming `name` unless `operator.index` takes `value`.
+
+    Ints and numpy integers pass; floats, even integral ones, do not.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_same_shape(X, Y):

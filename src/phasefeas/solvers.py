@@ -64,7 +64,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .linalg import dtype_for, hermitize, require_same_shape, require_square
+from .linalg import dtype_for, hermitize, require_integer, require_same_shape, require_square
 from .projections import build_affine_projector, leading_eigenvector, project_psd, require_projector
 from .sensing import apply_adjoint, apply_lifted, apply_lifted_factor, require_measurements
 
@@ -82,11 +82,13 @@ class SolverConfig:
     max_iters: int = 1000
     alpha: float = 2e-4        # Nesterov step size (2e-4 grid, 1e-4 convergence runs)
     lambda_trace: float = 0.0  # Nesterov trace penalty; 0 = pure feasibility
-    record_every: int = 1
+    record_every: int = 1      # `solve` and the solvers; a grid trial keeps its last point only
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        for name in ("max_iters", "record_every"):
+            require_integer(name, getattr(self, name))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         for name in ("alpha", "lambda_trace"):

@@ -1,3 +1,4 @@
+import inspect
 import os
 import pathlib
 import re
@@ -9,9 +10,12 @@ import numpy as np
 import pytest
 
 from phasefeas import harness
+from phasefeas.certificate import CertificateParams
 from phasefeas.cli import build_parser, main, parse_range, read_measurements
+from phasefeas.harness import GridSpec
 from phasefeas.linalg import COMPLEX, REAL
 from phasefeas.sensing import measure, sample_ensemble
+from phasefeas.solvers import SolverConfig
 
 
 def write_measurements(path, e, b):
@@ -44,6 +48,23 @@ def test_readme_commands_parse():
     # a flag renamed or removed in the parser but not in README fails here (argparse exits 2)
     commands = {build_parser().parse_args(argv[1:]).command for argv in readme_commands()}
     assert commands == {"grid", "converge", "certify", "solve"}
+
+
+def test_shared_defaults_are_the_librarys():
+    # each default the CLI shares with a config class is that class's default
+    spec = GridSpec(n_values=[1], m_values=[1])
+    cfg = SolverConfig()
+    anchor = np.array([1.0, 0.0])
+    parse = build_parser().parse_args
+    grid = parse(["grid", "--out", "o"])
+    assert (grid.trials, grid.eps, grid.seed) == (spec.trials, spec.eps, spec.master_seed)
+    assert ((grid.solver, grid.alpha, grid.lambda_trace, grid.iters)
+            == (cfg.method, cfg.alpha, cfg.lambda_trace, cfg.max_iters))
+    assert parse(["converge", "--out", "o"]).iters == cfg.max_iters
+    assert (inspect.signature(harness.run_convergence_study).parameters["iters"].default
+            == cfg.max_iters)
+    assert parse(["certify", "--m", "5", "--out", "o"]).beta == CertificateParams(anchor).beta
+    assert parse(["solve", "--input", "f.csv", "--n", "2"]).iters == cfg.max_iters
 
 
 class TestParseRange:

@@ -123,6 +123,28 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="eps"):
             GridSpec(n_values=[3], m_values=[5], eps=eps)
 
+    @pytest.mark.parametrize("n_values, m_values", [([3, 3], [6]), ([3], [6, 9, 6])],
+                             ids=["n-repeated", "m-repeated"])
+    def test_repeated_values_rejected(self, n_values, m_values):
+        with pytest.raises(ValueError, match="must not repeat a value"):
+            GridSpec(n_values=n_values, m_values=m_values, trials=1)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"trials": 2.0}, "trials"),
+        ({"master_seed": 0.5}, "master_seed"),
+        ({"master_seed": None}, "master_seed"),
+        ({"n_values": [3.0]}, "n_values"),
+        ({"m_values": [6, np.float64(9)]}, "m_values"),
+    ], ids=["trials=2.0", "master_seed=0.5", "master_seed=None", "n=3.0", "m=float64"])
+    def test_non_integer_counts_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            GridSpec(**{"n_values": [3], "m_values": [6], **kwargs})
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = GridSpec(n_values=[np.int64(2)], m_values=[np.int32(6)], trials=np.int64(2),
+                        master_seed=np.uint64(7))
+        assert (spec.trials, spec.master_seed) == (2, 7)
+
     def test_costliest_trials_dispatched_first(self, monkeypatch):
         # each n's 9 trials, in (m, trial) order, are cut into a stack of 8
         # and a stack of 1; a group costs T n^2 (M + n)
@@ -148,17 +170,27 @@ class TestRunGrid:
 
 class TestEveryTrialIsAStack:
     @pytest.fixture
-    def shapes(self, monkeypatch):
-        """The shapes of (Z, b, X0) that each `solve` call from the harness gets."""
-        seen = []
+    def calls(self, monkeypatch):
+        """What each `solve` call from the harness gets: the shapes of (Z, b, X0),
+        and the config's (record_every, max_iters)."""
+        seen, settings = [], []
         solve = harness.solve
 
         def recorded(e, b, cfg, X0_true=None):
             seen.append((e.vectors.shape, b.values.shape, X0_true.shape))
+            settings.append((cfg.record_every, cfg.max_iters))
             return solve(e, b, cfg, X0_true=X0_true)
 
         monkeypatch.setattr(harness, "solve", recorded)
-        return seen
+        return seen, settings
+
+    @pytest.fixture
+    def shapes(self, calls):
+        return calls[0]
+
+    @pytest.fixture
+    def settings(self, calls):
+        return calls[1]
 
     def test_lone_trial_is_a_stack_of_one(self, shapes):
         row = run_trial(3, 12, 0.05, fast_cfg(20), seed=7)
@@ -171,6 +203,34 @@ class TestEveryTrialIsAStack:
                         solver=fast_cfg(20), master_seed=2)
         assert len(run_grid(spec, workers=1).rows) == 9
         assert shapes == [((8, 12, 3), (8, 12), (8, 3, 3)), ((1, 12, 3), (1, 12), (1, 3, 3))]
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_a_trial_records_only_its_last_point(self, shapes, settings, record_every):
+        # a scalar trial, then the 8 + 1 grid above: every solve records
+        # iterations 0 and max_iters only, whatever the config says
+        cfg = SolverConfig(max_iters=20, record_every=record_every)
+        run_trial(3, 12, 0.05, cfg, seed=7)
+        spec = GridSpec(n_values=[3], m_values=[6, 9, 12], trials=3, eps=0.1,
+                        solver=cfg, master_seed=2)
+        run_grid(spec, workers=1)
+        assert len(shapes) == 3
+        assert settings == [(20, 20)] * 3
+
+
+@pytest.mark.parametrize("solver, kwargs", [
+    ("dr", {"n_values": [3, 5], "m_values": [6, 9, 14, 20], "trials": 2, "eps": 0.1,
+            "master_seed": 1}),
+    # 55 of the 60 rows are nan: most stacks fail and rerun trial by trial
+    ("nesterov", {"n_values": [2, 4, 6, 8, 10], "m_values": [6, 12, 18, 24, 30, 36], "trials": 2,
+                  "eps": 0.1, "master_seed": 3}),
+], ids=["dr", "nesterov-nan"])
+def test_grid_rows_do_not_depend_on_record_every(solver, kwargs):
+    rows = []
+    for record_every in (1, 300):
+        cfg = SolverConfig(method=solver, max_iters=300, alpha=0.05, record_every=record_every)
+        rows.append([no_wall(r) for r in run_grid(GridSpec(solver=cfg, **kwargs), workers=1).rows])
+    assert sum(math.isnan(r.recovery_error) for r in rows[0]) == (55 if solver == "nesterov" else 0)
+    assert rows[0] == rows[1]
 
 
 class SerialPool:

@@ -84,6 +84,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha|lambda_trace"):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"max_iters": 10, "record_every": 2.5}, "record_every"),
+        ({"max_iters": 10.0}, "max_iters"),
+        ({"max_iters": np.float64(10)}, "max_iters"),
+        ({"record_every": 1.0}, "record_every"),
+    ], ids=["record_every=2.5", "max_iters=10.0", "max_iters=float64", "record_every=1.0"])
+    def test_non_integer_counts_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverConfig(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SolverConfig(max_iters=np.int64(10), record_every=np.int32(5))
+        assert (cfg.max_iters, cfg.record_every) == (10, 5)
+
 
 class TestDouglasRachford:
     def test_critically_determined_recovery(self):
