@@ -36,8 +36,8 @@ def parse_range(text):
 def build_parser():
     parser = argparse.ArgumentParser(prog="phasefeas")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker count for grid trials (0 = all usable cores); "
-                             "results invariant to it")
+                        help="at most this many grid worker processes, and at most one "
+                             "worker per group (0 = all usable cores); results invariant to it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("grid", help="phase-transition grid -> grid.csv + heatmap.pgm")

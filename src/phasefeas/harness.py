@@ -64,7 +64,7 @@ class GridSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not self.n_values or not self.m_values:
+        if len(self.n_values) == 0 or len(self.m_values) == 0:
             raise ValueError("n_values and m_values must be nonempty")
         for name in ("n_values", "m_values"):
             values = getattr(self, name)
@@ -179,6 +179,14 @@ def _group_cost(task):
 
     Each of its T slices is lifted on the group's largest m, M rows of
     up to n^2 work each, and factored by an n x n eigh: T n^2 (M + n).
+
+    `run_grid` dispatches the costliest groups first because it measures
+    faster than submission order (this cost patched to a constant) at 2
+    workers on a 2-core host, in two sets of 12 alternating pairs each:
+    the benchmark grid (n 5:20:5, m 10:110:10, 1 trial) took medians of
+    0.82 and 0.74 s against 0.85 and 0.79 s, faster in 18 of 24 pairs, and
+    a wider grid (n 5:30:5, m 10:150:20, 2 trials, 400 steps) 1.13 and
+    1.18 s against 1.26 and 1.35 s, faster in 22 of 24.
     """
     n, ms = task[0], task[1]
     return len(ms) * n * n * (max(ms) + n)
@@ -187,7 +195,9 @@ def _group_cost(task):
 def run_grid(spec, workers=None):
     """All (n, m, trial) combinations; rows sorted, worker-count invariant.
 
-    `workers` defaults to the usable cores; the pool forks that many workers.
+    `workers` is an upper bound, defaulting to the usable cores: the grid
+    runs on at most one worker per group, min(workers, groups), in process
+    when that is 1 and otherwise in a pool of that many forked workers.
     The trials run in groups: each n's trials in (m, trial) order, cut into
     consecutive runs of at most `STACK_SIZE` (see the module docstring).
     Groups go out one at a time, costliest first, so that no worker is left
@@ -205,11 +215,12 @@ def run_grid(spec, workers=None):
         workers = _usable_cores()
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(tasks) == 1:
+    workers = min(workers, len(tasks))
+    if workers == 1:
         done = [run_trial(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_trial, *zip(*tasks), chunksize=1))
+            done = list(pool.map(run_trial, *zip(*tasks)))
     rows = sorted((r for group in done for r in group), key=lambda r: (r.n, r.m, r.trial))
     return GridResult(spec=spec, rows=rows)
 

@@ -9,10 +9,11 @@ picks one by ``cfg.method``:
                      g(X) = 1/2 ||L(X) - b||^2 + lambda tr(X).
 
 ``solve`` runs the whole solve, the Gram factorization included, on one
-OpenBLAS thread: OpenBLAS rounds the larger kernels (the Gram `eigh` and
-`Z @ Z.T` above m of about 130) differently at one and at several
-threads, and forked grid workers that each start their own threads would
-oversubscribe the cores.  Every CLI solve and grid trial goes through
+OpenBLAS thread: OpenBLAS rounds the larger kernels differently at one
+and at several threads (a lone solve's Gram `eigh` and `Z @ Z.T` above m
+of about 130; a grid stack of 3 trials padded to M = 110 already), and
+forked grid workers that each start their own threads would oversubscribe
+the cores.  Every CLI solve and grid trial goes through
 ``solve``; a direct call of a solver below runs at the caller's count.
 
 Each solver is a generator `steps(X_0, L(X_0))`: it yields iteration 0 and
@@ -60,7 +61,7 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,16 +114,16 @@ class TracePoint:
 
 @dataclass
 class SolverTrace:
-    points: list = dc_field(default_factory=list)
-    final_X: np.ndarray | None = None
+    points: list         # TracePoints, iteration 0 and the last iteration among them
+    final_X: np.ndarray
 
     @property
     def final_error(self):
-        return self.points[-1].recovery_error if self.points else math.nan
+        return self.points[-1].recovery_error
 
     @property
     def final_residual(self):
-        return self.points[-1].residual if self.points else math.nan
+        return self.points[-1].residual
 
 
 def _norms(v):
@@ -192,7 +193,7 @@ def _iterate(method, e, b, cfg, X0_true, X_start, steps):
         if np.any(x0_norm == 0):
             raise ValueError("X0 must be nonzero")
     iterates = steps(X, apply_lifted(e, X))
-    trace = SolverTrace()
+    points = []
     for k in range(cfg.max_iters + 1):
         try:
             X, lX = next(iterates)
@@ -206,9 +207,8 @@ def _iterate(method, e, b, cfg, X0_true, X_start, steps):
             # the sum is finite only if every residual and trace is; an overflowing sum also raises
             if not math.isfinite(np.add.reduce(res + tr, axis=None)):
                 raise RuntimeError(f"non-finite iterate at iteration {k}")
-            trace.points.append(TracePoint(k, error.tolist(), res.tolist(), tr.tolist()))
-    trace.final_X = X
-    return trace
+            points.append(TracePoint(k, error.tolist(), res.tolist(), tr.tolist()))
+    return SolverTrace(points, X)
 
 
 def solve_dr(p, e, cfg, X0_true=None, X_start=None):
@@ -365,8 +365,6 @@ def round_to_vector(trace):
     Returns (x, eigen_gap) with eigen_gap = lambda_1 - lambda_2 for
     diagnostics; raises when the top eigenvalue is not positive.
     """
-    if trace.final_X is None:
-        raise ValueError("trace has no final iterate")
     lam1, v1, lam2 = leading_eigenvector(trace.final_X)
     if lam1 <= 0:
         raise RuntimeError("no positive component")

@@ -388,8 +388,9 @@ def assert_same_files(args, files, tmp_path):
 
 
 class TestBlasThreadCountInvariance:
-    # Above m of about 130 OpenBLAS rounds the Gram eigh and Z @ Z.T
-    # differently at one and at two threads; every solve runs on one.
+    # OpenBLAS rounds a lone solve's Gram eigh and Z @ Z.T differently at one
+    # and at two threads above m of about 130, and a grid stack already at
+    # a padded M of 110; every solve runs on one.
     def test_converge_bytes(self, tmp_path):
         assert_same_files(["converge", "--n", "20", "--m", "250", "--iters", "300"], 6, tmp_path)
 
@@ -400,6 +401,11 @@ class TestBlasThreadCountInvariance:
     def test_grid_bytes(self, tmp_path):
         assert_same_files(["--threads", "2", "grid", "--n", "10:12:2", "--m", "130:190:30",
                            "--trials", "3", "--iters", "100"], 2, tmp_path)
+
+    def test_grid_stack_bytes_below_m_130(self, tmp_path):
+        # one stack of 3 trials per n, padded to M = 110
+        assert_same_files(["--threads", "2", "grid", "--n", "10:20:5", "--m", "90:110:10",
+                           "--trials", "1", "--iters", "100"], 2, tmp_path)
 
     def test_solve_bytes(self, tmp_path):
         n, m = 50, 250

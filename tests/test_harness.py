@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -86,9 +87,10 @@ class TestRunGrid:
         assert [no_wall(r) for r in serial.rows] == [no_wall(r) for r in parallel.rows]
 
     def test_parallel_equals_serial_large_m(self):
-        # Above m of about 130 OpenBLAS rounds the Gram eigh and Z @ Z.T
-        # differently at 1 and 2 threads; the rows agree only when serial and
-        # pooled trials alike run on one BLAS thread.
+        # OpenBLAS rounds differently at 1 and 2 threads for a lone solve
+        # above m of about 130, and for a stack already at a padded M of 110;
+        # the rows agree only when serial and pooled trials alike run on one
+        # BLAS thread.
         spec = GridSpec(n_values=[5, 20], m_values=[190, 250], trials=1, eps=0.1,
                         solver=fast_cfg(50), master_seed=3)
         serial = run_grid(spec, workers=1)
@@ -117,6 +119,26 @@ class TestRunGrid:
             GridSpec(n_values=[5, 0], m_values=[5])
         with pytest.raises(ValueError, match="n and m must be >= 1"):
             GridSpec(n_values=[3], m_values=[5, -2])
+
+    @pytest.mark.parametrize("n_values, m_values", [(np.array([], dtype=int), [5]),
+                                                    ([3], np.array([], dtype=int))],
+                             ids=["n", "m"])
+    def test_empty_array_rejected(self, n_values, m_values):
+        with pytest.raises(ValueError, match="n_values and m_values must be nonempty"):
+            GridSpec(n_values=n_values, m_values=m_values)
+
+    def test_array_spec_writes_the_list_specs_bytes(self, tmp_path):
+        outputs = []
+        for values in ((np.arange(2, 4), np.array([6, 9])), ([2, 3], [6, 9])):
+            spec = GridSpec(n_values=values[0], m_values=values[1], trials=1, eps=0.1,
+                            solver=fast_cfg(20), master_seed=4)
+            for workers in (1, 2):
+                result = run_grid(spec, workers=workers)
+                write_grid_csv(result, tmp_path / "grid.csv")
+                emit_heatmap(result, tmp_path / "heatmap.pgm")
+                outputs.append(((tmp_path / "grid.csv").read_bytes(),
+                                (tmp_path / "heatmap.pgm").read_bytes()))
+        assert outputs[1:] == outputs[:1] * 3
 
     @pytest.mark.parametrize("eps", [math.nan, -0.1, math.inf])
     def test_bad_eps_rejected(self, eps):
@@ -234,10 +256,13 @@ def test_grid_rows_do_not_depend_on_record_every(solver, kwargs):
 
 
 class SerialPool:
-    """A stand-in for ProcessPoolExecutor that runs the tasks in order, in process."""
+    """A stand-in for ProcessPoolExecutor that runs the tasks in order, in process.
 
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
+    Each pool appends its `max_workers` to `sizes`.
+    """
+
+    def __init__(self, max_workers, sizes):
+        sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -260,7 +285,7 @@ class TestGrouping:
 
         with monkeypatch.context() as patch:
             patch.setattr(harness, "run_trial", recorded)
-            patch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+            patch.setattr(harness, "ProcessPoolExecutor", functools.partial(SerialPool, sizes=[]))
             run_grid(spec, workers=workers)
         return seen
 
@@ -291,6 +316,33 @@ class TestGrouping:
             outputs.append(((tmp_path / f"{k}.csv").read_bytes(),
                             (tmp_path / f"{k}.pgm").read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestPoolSize:
+    """`workers` bounds the pool, and so does the group count: one worker per group at most."""
+
+    # one group per n
+    SPEC = GridSpec(n_values=[2, 3, 4], m_values=[6], trials=1, solver=fast_cfg(2))
+
+    def pool_sizes(self, monkeypatch, spec, workers):
+        """The `max_workers` of each pool `run_grid` builds, on a host of 64 usable cores."""
+        sizes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "ProcessPoolExecutor", functools.partial(SerialPool, sizes=sizes))
+            patch.setattr(harness, "_usable_cores", lambda: 64)
+            run_grid(spec, workers=workers)
+        return sizes
+
+    @pytest.mark.parametrize("workers, sizes", [(2, [2]), (64, [3]), (None, [3])],
+                             ids=["K=2", "K=64", "default-of-64-cores"])
+    def test_at_most_one_worker_per_group(self, monkeypatch, workers, sizes):
+        assert self.pool_sizes(monkeypatch, self.SPEC, workers) == sizes
+
+    @pytest.mark.parametrize("n_values, workers", [([2], 64), ([2, 3, 4], 1)],
+                             ids=["one-group-K=64", "three-groups-K=1"])
+    def test_in_process_builds_no_pool(self, monkeypatch, n_values, workers):
+        spec = dataclasses.replace(self.SPEC, n_values=n_values)
+        assert self.pool_sizes(monkeypatch, spec, workers) == []
 
 
 class TestFailingSlice:

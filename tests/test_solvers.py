@@ -323,7 +323,7 @@ class TestRoundToVector:
             round_to_vector(t)
 
     def test_stacked_trace_rejected(self):
-        t = SolverTrace(final_X=np.stack([np.eye(3), 2 * np.eye(3)]))
+        t = SolverTrace(points=[], final_X=np.stack([np.eye(3), 2 * np.eye(3)]))
         with pytest.raises(ValueError, match="dimension mismatch"):
             round_to_vector(t)
 
@@ -534,7 +534,7 @@ class TestCallStructure:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
         rng = np.random.default_rng(10)
-        t = SolverTrace(final_X=rand_hermitian(rng, 5) + 5 * np.eye(5))
+        t = SolverTrace(points=[], final_X=rand_hermitian(rng, 5) + 5 * np.eye(5))
         _, gap = round_to_vector(t)
         assert (counts["eig"], counts["eigh"]) == (1, 1)
         values = np.linalg.eigh(t.final_X)[0]

@@ -12,11 +12,11 @@ library and numpy only.
 
 Artifacts, each run at OPENBLAS_NUM_THREADS=1 and 2:
 
-  grid            the benchmark grid, --n 5:20:5 --m 10:110:10 --trials 1,
-                  at --threads 1 and 2
+  grid            the benchmark grid, --n 5:20:5 --m 10:110:10 --trials 1
+                  (8 groups), at --threads 1, 2 and 16
   grid-nesterov   --solver nesterov --alpha 0.05 --n 2:10:2 --m 6:40:6
-                  --trials 2 --iters 300 --seed 3 (55 of 60 rows nan), at
-                  --threads 1 and 2
+                  --trials 2 --iters 300 --seed 3 (55 of 60 rows nan; 10
+                  groups), at --threads 1, 2 and 16
   converge-10-60  converge --n 10 --m 60
   converge-20-250 converge --n 20 --m 250 --iters 300
   certify         certify --n 20 --m 1199 --seeds 8
@@ -29,9 +29,11 @@ For each file and OpenBLAS thread count the table gives OLD against NEW:
 "identical"; "max R" when only numeric cells differ, R being the largest
 |a - b| / (1e-12 + 1e-8 |b|) over them, with b the OLD value (a cell is
 what lies between commas, blanks and `=`); or "differs" for any other
-difference.  A grid's entry is the worse of its two worker counts.  The
-last column says whether NEW's outputs of that file at both worker counts
-and both thread counts are byte-identical.
+difference.  A grid's entry is the worse of its three worker counts; 16
+is more than either grid's groups, so that run shows that a worker count
+above the group count moves no byte.  The last column says whether NEW's
+outputs of that file at every worker count and both thread counts are
+byte-identical.
 
 Exit status: 1 when NEW's outputs of some file disagree, or when an OLD
 against NEW entry reads "differs" or R > 1; 0 otherwise.
@@ -47,7 +49,7 @@ import tempfile
 import numpy as np
 
 BLAS_THREADS = (1, 2)
-WORKERS = (1, 2)
+WORKERS = (1, 2, 16)
 CELL = re.compile(r"[^,\s=]+")
 
 GRIDS = {
