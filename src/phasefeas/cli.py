@@ -104,8 +104,8 @@ def cmd_certify(args):
 def read_measurements(path, n):
     """Parse `z_1..z_n,b` (real) or interleaved `re_k,im_k` columns (complex).
 
-    Fields may be quoted and lines may end in CRLF; blank lines are skipped,
-    and `#` starts no comment.
+    Fields may be quoted and lines may end in CRLF; blank lines, empty or
+    of spaces and tabs only, are skipped, and `#` starts no comment.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -122,7 +122,7 @@ def read_measurements(path, n):
         field = COMPLEX
     else:
         raise ValueError(f"{path}: header does not match n={n} real or complex layout")
-    linenos = [k for k, line in enumerate(lines[1:], start=2) if line]
+    linenos = [k for k, line in enumerate(lines[1:], start=2) if line.strip(" \t")]
     if not linenos:
         raise ValueError(f"{path}: no measurement rows")
     width = len(header)

@@ -31,15 +31,16 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
-from .certificate import CertificateParams, build_certificate, check_certificate
+from .certificate import CertificateParams, CertificateReport, build_certificate, check_certificate
 from .linalg import require_integer
 from .sensing import (REAL, MeasurementVector, SensingEnsemble, add_noise, derive_seed, measure,
                       sample_ensemble)
-from .solvers import DR, NESTEROV, SolverConfig, solve, write_trace_csv
+from .solvers import DR, NESTEROV, SolverConfig, format_cell, solve, write_rows, write_trace_csv
 
 # Trials per stacked solve.  Each step of a stack pays a fixed dispatch cost
 # once for all its trials, so larger stacks mean fewer steps; past about 6
@@ -226,12 +227,9 @@ def run_grid(spec, workers=None):
 
 
 def write_grid_csv(result, path):
-    """Per-trial rows; wall_ms is deliberately excluded (nondeterministic)."""
-    with open(path, "w") as fh:
-        fh.write("n,m,trial,seed,iters,recovery_error,residual\n")
-        for r in result.rows:
-            fh.write(f"{r.n},{r.m},{r.trial},{r.seed},{r.iters},"
-                     f"{r.recovery_error!r},{r.residual!r}\n")
+    """Per-trial rows: TrialRow's fields in order, less the nondeterministic wall_ms."""
+    names = [f.name for f in fields(TrialRow) if f.name != "wall_ms"]
+    write_rows(path, names, map(attrgetter(*names), result.rows))
 
 
 def cell_means(result):
@@ -315,7 +313,13 @@ def run_convergence_study(n, m, seed, out_dir, iters=SolverConfig.max_iters):
 
 
 def run_certify_study(n, m, beta, seeds, seed, out_dir):
-    """Certificate checks for `seeds` ensembles -> certificates.csv + summary.txt."""
+    """Certificate checks for `seeds` ensembles -> certificates.csv + summary.txt.
+
+    certificates.csv holds `trial,seed` and then CertificateReport's fields
+    in order; summary.txt one `key=value` line per setting, mean and pass
+    fraction.  Every value is written by `format_cell`.
+    """
+    require_integer("seeds", seeds)
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     rows = []
@@ -325,28 +329,16 @@ def run_certify_study(n, m, beta, seeds, seed, out_dir):
         Y, lam = build_certificate(e, CertificateParams(anchor=anchor, beta=beta))
         rows.append((k, seed_k, check_certificate(Y, lam, anchor)))
     os.makedirs(out_dir, exist_ok=True)  # only now, so a rejected input writes nothing
-    with open(os.path.join(out_dir, "certificates.csv"), "w") as fh:
-        fh.write("trial,seed,y_t_nuclear,t_perp_min_eig,t_perp_dev,lambda_l1,"
-                 "truncation_rate,pass_y_t,pass_t_perp,pass_lambda\n")
-        for k, seed_k, r in rows:
-            fh.write(f"{k},{seed_k},{r.y_t_nuclear!r},{r.t_perp_min_eig!r},"
-                     f"{r.t_perp_dev!r},{r.lambda_l1!r},{r.truncation_rate!r},"
-                     f"{int(r.pass_y_t)},{int(r.pass_t_perp)},{int(r.pass_lambda)}\n")
-    reports = [r for _, _, r in rows]
-    count = len(reports)
-    summary = [
-        f"n={n}",
-        f"m={m}",
-        f"beta={beta!r}",
-        f"seeds={count}",
-        f"mean_y_t_nuclear={sum(r.y_t_nuclear for r in reports) / count!r}",
-        f"mean_t_perp_min_eig={sum(r.t_perp_min_eig for r in reports) / count!r}",
-        f"mean_lambda_l1={sum(r.lambda_l1 for r in reports) / count!r}",
-        f"mean_truncation_rate={sum(r.truncation_rate for r in reports) / count!r}",
-        f"frac_pass_y_t={sum(r.pass_y_t for r in reports) / count!r}",
-        f"frac_pass_t_perp={sum(r.pass_t_perp for r in reports) / count!r}",
-        f"frac_pass_lambda={sum(r.pass_lambda for r in reports) / count!r}",
-        f"frac_pass_all={sum(r.all_pass for r in reports) / count!r}",
-    ]
+    names = [f.name for f in fields(CertificateReport)]
+    values = attrgetter(*names)
+    write_rows(os.path.join(out_dir, "certificates.csv"), ["trial", "seed", *names],
+               ((k, seed_k, *values(r)) for k, seed_k, r in rows))
+    count = len(rows)
+    averaged = [("mean_y_t_nuclear", "y_t_nuclear"), ("mean_t_perp_min_eig", "t_perp_min_eig"),
+                ("mean_lambda_l1", "lambda_l1"), ("mean_truncation_rate", "truncation_rate"),
+                ("frac_pass_y_t", "pass_y_t"), ("frac_pass_t_perp", "pass_t_perp"),
+                ("frac_pass_lambda", "pass_lambda"), ("frac_pass_all", "all_pass")]
+    summary = [("n", n), ("m", m), ("beta", beta), ("seeds", count)] + [
+        (key, sum(getattr(r, a) for _, _, r in rows) / count) for key, a in averaged]
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
+        fh.write("".join(f"{key}={format_cell(v)}\n" for key, v in summary))

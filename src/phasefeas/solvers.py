@@ -61,7 +61,8 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -371,16 +372,34 @@ def round_to_vector(trace):
     return np.sqrt(lam1) * v1, lam1 - lam2
 
 
-def write_trace_csv(trace, path):
-    """Trace export: one row per recorded iteration, round-trip floats.
+def format_cell(v):
+    """The one cell rule of every CSV artifact and of `summary.txt`.
 
-    Takes the trace of one problem; a stacked trace, whose records hold
-    one value per slice, raises ValueError before anything is written.
+    An integer or bool, Python or numpy, is written as a decimal integer (a
+    bool as 0 or 1); any other real as `repr(float(v))`, its shortest
+    round-trip form (`nan`, `inf` and `-0.0` included).
+    """
+    if isinstance(v, (int, np.integer, np.bool_)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def write_rows(path, header, rows):
+    """Write a CSV artifact: the `header` names, then one line per row of cells."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(format_cell, row)) + "\n" for row in rows)
+
+
+def write_trace_csv(trace, path):
+    """Trace export: one row per recorded iteration, cells as `format_cell` writes them.
+
+    The columns are TracePoint's fields, `iteration` named `iter`.  Takes
+    the trace of one problem; a stacked trace, whose records hold one value
+    per slice, raises ValueError before anything is written.
     """
     if np.ndim(trace.final_X) > 2:
         raise ValueError(f"dimension mismatch: one problem's trace expected, got a stack "
                          f"with final_X of shape {trace.final_X.shape}")
-    with open(path, "w") as fh:
-        fh.write("iter,recovery_error,residual,trace_value\n")
-        for pt in trace.points:
-            fh.write(f"{pt.iteration},{pt.recovery_error!r},{pt.residual!r},{pt.trace_value!r}\n")
+    names = [f.name for f in fields(TracePoint)]
+    write_rows(path, ["iter", *names[1:]], map(attrgetter(*names), trace.points))

@@ -175,7 +175,8 @@ class TestCertifyCommand:
                      "--seeds", "3", "--seed", "2", "--out", str(out)]) == 0
         csv_lines = (out / "certificates.csv").read_text().splitlines()
         assert len(csv_lines) == 4
-        assert csv_lines[0].startswith("trial,seed,y_t_nuclear")
+        assert csv_lines[0] == ("trial,seed,y_t_nuclear,t_perp_min_eig,t_perp_dev,lambda_l1,"
+                                "truncation_rate,pass_y_t,pass_t_perp,pass_lambda")
         summary = (out / "summary.txt").read_text()
         assert "frac_pass_all=" in summary
         assert "mean_lambda_l1=" in summary
@@ -347,6 +348,15 @@ class TestReadMeasurements:
             assert np.array_equal(got[0].vectors, e.vectors)
             assert np.array_equal(got[1].values, b.values)
 
+    def test_whitespace_only_line_is_blank(self, tmp_path, capsys):
+        path = tmp_path / "ws.csv"
+        path.write_text("z_1,z_2,b\n1.0,0.5,2.0\n   \n0.3,1.0,2.0\n\t \n")
+        e, b = read_measurements(path, 2)
+        assert e.vectors.tolist() == [[1.0, 0.5], [0.3, 1.0]]
+        assert b.values.tolist() == [2.0, 2.0]
+        assert main(["solve", "--input", str(path), "--n", "2", "--iters", "5"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_hash_is_not_a_comment(self, tmp_path, capsys):
         path = tmp_path / "h.csv"
         path.write_text("z_1,z_2,b\n1.0,0.5,2.0\n0.3,1.0 # note,2.0\n")
@@ -357,7 +367,10 @@ class TestReadMeasurements:
         ("1.0,2.0,3.0\n\n1.0,2.0\n", "m.csv:4: expected 3 columns, got 2"),
         ("1.0,2.0\n1.0,2.0,3.0\n", "m.csv:2: expected 3 columns, got 2"),
         ("1.0,0.5,2.0\n\n0.3,nan,2.0\n", "m.csv:4: non-finite entry"),
-    ], ids=["short-row-after-blank", "short-first-row", "non-finite-after-blank"])
+        ("1.0,2.0,3.0\n   \n1.0,2.0\n", "m.csv:4: expected 3 columns, got 2"),
+        ("1.0,0.5,2.0\n \t\n0.3,nan,2.0\n", "m.csv:4: non-finite entry"),
+    ], ids=["short-row-after-blank", "short-first-row", "non-finite-after-blank",
+            "short-row-after-spaces", "non-finite-after-spaces-and-tab"])
     def test_bad_row_names_its_line(self, tmp_path, rows, where):
         path = tmp_path / "m.csv"
         path.write_text("z_1,z_2,b\n" + rows)

@@ -12,6 +12,7 @@ from phasefeas.harness import (
     TrialRow,
     cell_means,
     emit_heatmap,
+    run_certify_study,
     run_convergence_study,
     run_grid,
     run_trial,
@@ -584,6 +585,51 @@ class TestGridCsv:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "n,m,trial,seed,iters,recovery_error,residual"
+
+    def test_golden_bytes(self, tmp_path):
+        # a 64-bit seed above 2^63 and the float cells that repr spells specially
+        rows = [TrialRow(2, 6, 0, 2**63 + 5, 30, 0.1 + 0.2, -0.0, 1.5),
+                TrialRow(2, 6, 1, 2**64 - 1, 30, math.nan, math.inf, 2.5)]
+        path = tmp_path / "grid.csv"
+        write_grid_csv(GridResult(spec=None, rows=rows), path)
+        assert path.read_bytes() == (b"n,m,trial,seed,iters,recovery_error,residual\n"
+                                     b"2,6,0,9223372036854775813,30,0.30000000000000004,-0.0\n"
+                                     b"2,6,1,18446744073709551615,30,nan,inf\n")
+
+    def test_numpy_values_write_python_bytes(self, tmp_path):
+        # an array GridSpec puts numpy integers into TrialRow.n and .m
+        values = [(2, 6, 0, 2**63 + 5, 30, 0.25, 1e-17), (3, 9, 1, 7, 30, math.nan, math.nan)]
+        paths = []
+        for kind, it, seed, real in (("py", int, int, float),
+                                     ("np", np.int64, np.uint64, np.float64)):
+            rows = [TrialRow(it(n), it(m), it(t), seed(s), it(k), real(err), real(res), 0.0)
+                    for n, m, t, s, k, err, res in values]
+            paths.append(tmp_path / f"{kind}.csv")
+            write_grid_csv(GridResult(spec=None, rows=rows), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestCertifyStudy:
+    def test_numpy_scalars_write_python_bytes(self, tmp_path):
+        run_certify_study(4, 30, 1.0, 2, 0, tmp_path / "py")
+        run_certify_study(np.int64(4), np.int64(30), np.float64(1.0), np.int64(2), 0,
+                          tmp_path / "np")
+        for name in ("certificates.csv", "summary.txt"):
+            assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "py" / name).read_bytes()
+        assert (tmp_path / "np" / "summary.txt").read_text().splitlines()[:4] == [
+            "n=4", "m=30", "beta=1.0", "seeds=2"]
+
+    def test_untruncated_beta_is_an_inf_cell(self, tmp_path):
+        run_certify_study(4, 30, math.inf, 1, 0, tmp_path)
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert lines[2] == "beta=inf"
+        assert lines[7] == "mean_truncation_rate=0.0"
+
+    @pytest.mark.parametrize("seeds", [2.5, 2.0, "2"])
+    def test_seeds_must_be_an_integer(self, tmp_path, seeds):
+        with pytest.raises(ValueError, match="seeds must be an integer"):
+            run_certify_study(4, 30, 1.0, seeds, 0, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestGridMonotonicity:

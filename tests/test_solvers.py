@@ -36,6 +36,7 @@ from phasefeas.sensing import (
 from phasefeas.solvers import (
     SolverConfig,
     SolverTrace,
+    TracePoint,
     round_to_vector,
     solve,
     solve_dr,
@@ -355,6 +356,18 @@ class TestTraceExport:
         # shortest round-trip floats parse back exactly
         assert float(first[2]) == t.points[0].residual
 
+    def test_numpy_record_values_write_python_bytes(self, tmp_path):
+        # records may hold numpy scalars; each cell is the Python value's
+        values = [(0, 1.0, 0.5, 2.0), (7, math.nan, 0.1 + 0.2, -0.0)]
+        paths = []
+        for kind, it, real in (("py", int, float), ("np", np.int64, np.float64)):
+            points = [TracePoint(it(k), *map(real, rest)) for k, *rest in values]
+            paths.append(tmp_path / f"{kind}.csv")
+            write_trace_csv(SolverTrace(points=points, final_X=np.zeros((2, 2))), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert paths[1].read_bytes() == (b"iter,recovery_error,residual,trace_value\n"
+                                         b"0,1.0,0.5,2.0\n7,nan,0.30000000000000004,-0.0\n")
+
     def test_stacked_trace_rejected(self, tmp_path):
         # a stacked record holds one value per slice, which has no CSV row
         probs = [setup_instance(3, 9, seed) for seed in (9, 10)]
@@ -654,3 +667,22 @@ class TestSymmetryContracts:
             X = solve(e, b, cfg).final_X
             assert X.dtype == dtype_for(e.field)
             assert np.array_equal(X, X.conj().T)
+
+
+class TestCellRule:
+    def test_golden_cells(self, tmp_path):
+        # integers and bools, Python or numpy, as decimal integers; reals in shortest round-trip
+        path = tmp_path / "cells.csv"
+        solvers.write_rows(path, ["a", "b", "c"], [
+            (2**63 + 5, np.uint64(2**64 - 1), np.int64(-3)),
+            (True, False, np.True_),
+            (math.nan, math.inf, -math.inf),
+            (-0.0, 0.1 + 0.2, np.float64(0.1) + np.float64(0.2)),
+            (1.0, np.float64(1e-300), np.float32(0.5)),
+        ])
+        assert path.read_bytes() == (b"a,b,c\n"
+                                     b"9223372036854775813,18446744073709551615,-3\n"
+                                     b"1,0,1\n"
+                                     b"nan,inf,-inf\n"
+                                     b"-0.0,0.30000000000000004,0.30000000000000004\n"
+                                     b"1.0,1e-300,0.5\n")

@@ -20,6 +20,8 @@ Artifacts, each run at OPENBLAS_NUM_THREADS=1 and 2:
   converge-10-60  converge --n 10 --m 60
   converge-20-250 converge --n 20 --m 250 --iters 300
   certify         certify --n 20 --m 1199 --seeds 8
+  certify-inf     the same at --beta inf: untruncated, so summary.txt
+                  holds an `inf` cell (beta=inf)
   solve-real      solve's stdout on a real (n, m) = (50, 250) file
   solve-complex   solve's stdout on a complex (8, 60) file
 
@@ -87,6 +89,8 @@ def commands(tmp):
     runs += [("converge-10-60", ["converge", "--n", "10", "--m", "60"], None),
              ("converge-20-250", ["converge", "--n", "20", "--m", "250", "--iters", "300"], None),
              ("certify", ["certify", "--n", "20", "--m", "1199", "--seeds", "8"], None),
+             ("certify-inf", ["certify", "--n", "20", "--m", "1199", "--seeds", "8",
+                              "--beta", "inf"], None),
              ("solve-real", ["solve", "--input", real, "--n", "50"], None),
              ("solve-complex", ["solve", "--input", cplx, "--n", "8"], None)]
     return runs
