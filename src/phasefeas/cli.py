@@ -104,15 +104,18 @@ def cmd_certify(args):
 def read_measurements(path, n):
     """Parse `z_1..z_n,b` (real) or interleaved `re_k,im_k` columns (complex).
 
-    Fields may be quoted and lines may end in CRLF; blank lines, empty or
-    of spaces and tabs only, are skipped, and `#` starts no comment.
+    Fields may be quoted and lines may end in CRLF; only a line end ends a
+    row, so a form feed or other control character stays inside its line.
+    Blank lines, empty or of spaces and tabs only, are skipped, and `#`
+    starts no comment.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise ValueError(f"{path}: empty file")
+    lines = text.split("\n")  # text mode reads every CRLF and CR as "\n"
     header = [h.strip().strip('"') for h in lines[0].split(",")]
     real_cols = [f"z_{k}" for k in range(1, n + 1)] + ["b"]
     complex_cols = [t for k in range(1, n + 1) for t in (f"re_{k}", f"im_{k}")] + ["b"]

@@ -23,8 +23,18 @@ the same way, as a stack of one, which gives the unstacked solve's bits.
 The groups, and so every row, do not depend on the worker count.
 
 A group's solve, serial or in a pool worker, runs on one OpenBLAS thread,
-as every `solve` does (see `solvers`): so the pool's forked workers do not
-oversubscribe the cores, and a trial's bits do not depend on where it ran.
+as every `solve` does (see `solvers`), so a trial's bits do not depend on
+where it ran.  `run_grid` takes that pin itself, in the parent, around all
+its groups: the pool is built and forked at one thread, each worker
+inherits the count, and its `solve`'s pin sets nothing.  A set call in a
+forked worker would restart OpenBLAS's thread server, whose helper spins
+0.13 s of CPU on the cores the solves need; so no pool initializer pins
+inside the child.  Nor does a pool outlive its `run_grid`: its workers
+would never end, and their memory would drop out of the RUSAGE_CHILDREN
+peak that measures a grid.  The previous count comes back when `run_grid`
+returns or raises.  After a pool, setting it back restarts the parent's
+server (the fork shut it down), and its helper spins once, about 0.13 s
+of CPU: one spin after the grid in place of one in each worker during it.
 """
 
 import math
@@ -40,7 +50,8 @@ from .certificate import CertificateParams, CertificateReport, build_certificate
 from .linalg import require_integer
 from .sensing import (REAL, MeasurementVector, SensingEnsemble, add_noise, derive_seed, measure,
                       sample_ensemble)
-from .solvers import DR, NESTEROV, SolverConfig, format_cell, solve, write_rows, write_trace_csv
+from .solvers import (DR, NESTEROV, SolverConfig, _single_blas_thread, format_cell, solve,
+                      write_rows, write_trace_csv)
 
 # Trials per stacked solve.  Each step of a stack pays a fixed dispatch cost
 # once for all its trials, so larger stacks mean fewer steps; past about 6
@@ -183,11 +194,12 @@ def _group_cost(task):
 
     `run_grid` dispatches the costliest groups first because it measures
     faster than submission order (this cost patched to a constant) at 2
-    workers on a 2-core host, in two sets of 12 alternating pairs each:
-    the benchmark grid (n 5:20:5, m 10:110:10, 1 trial) took medians of
-    0.82 and 0.74 s against 0.85 and 0.79 s, faster in 18 of 24 pairs, and
-    a wider grid (n 5:30:5, m 10:150:20, 2 trials, 400 steps) 1.13 and
-    1.18 s against 1.26 and 1.35 s, faster in 22 of 24.
+    workers on a 2-core host, in sets of 12 alternating pairs, with the
+    workers forked at one OpenBLAS thread: the benchmark grid (n 5:20:5,
+    m 10:110:10, 1 trial) took medians of 0.73 to 0.83 s against 0.76 to
+    0.91 s in four sets, faster in 31 of 48 pairs, and a wider grid
+    (n 5:30:5, m 10:150:20, 2 trials, 400 steps) 1.18 and 1.28 s against
+    1.34 and 1.37 s in two sets, faster in 18 of 24.
     """
     n, ms = task[0], task[1]
     return len(ms) * n * n * (max(ms) + n)
@@ -217,11 +229,12 @@ def run_grid(spec, workers=None):
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(tasks))
-    if workers == 1:
-        done = [run_trial(*t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_trial, *zip(*tasks)))
+    with _single_blas_thread():
+        if workers == 1:
+            done = [run_trial(*t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                done = list(pool.map(run_trial, *zip(*tasks)))
     rows = sorted((r for group in done for r in group), key=lambda r: (r.n, r.m, r.trial))
     return GridResult(spec=spec, rows=rows)
 
@@ -296,6 +309,8 @@ def run_convergence_study(n, m, seed, out_dir, iters=SolverConfig.max_iters):
     Writes `{method}_{eps}.csv` per combination, six files in `out_dir`,
     which is created only once the configs and the instance are accepted.
     """
+    for name, value in (("n", n), ("m", m), ("seed", seed)):
+        require_integer(name, value)
     configs = [(name, replace(base, max_iters=iters)) for name, base in CONVERGENCE_METHODS]
     x0, e = _draw_instance(n, m, seed)
     b = measure(e, x0)
@@ -319,7 +334,8 @@ def run_certify_study(n, m, beta, seeds, seed, out_dir):
     in order; summary.txt one `key=value` line per setting, mean and pass
     fraction.  Every value is written by `format_cell`.
     """
-    require_integer("seeds", seeds)
+    for name, value in (("n", n), ("m", m), ("seeds", seeds), ("seed", seed)):
+        require_integer(name, value)
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     rows = []

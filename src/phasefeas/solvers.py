@@ -11,10 +11,14 @@ picks one by ``cfg.method``:
 ``solve`` runs the whole solve, the Gram factorization included, on one
 OpenBLAS thread: OpenBLAS rounds the larger kernels differently at one
 and at several threads (a lone solve's Gram `eigh` and `Z @ Z.T` above m
-of about 130; a grid stack of 3 trials padded to M = 110 already), and
-forked grid workers that each start their own threads would oversubscribe
-the cores.  Every CLI solve and grid trial goes through
-``solve``; a direct call of a solver below runs at the caller's count.
+of about 130; a grid stack of 3 trials padded to M = 110 already).  Every
+CLI solve and grid trial goes through ``solve``; a direct call of a solver
+below runs at the caller's count.  The pin sets nothing when the count
+already reads 1.  That keeps a forked grid worker quiet: OpenBLAS shuts
+its thread server down at a fork, and the first set call in the child
+restarts it, with a helper thread that spins for 2^28 cycles before it
+sleeps (0.13 s of CPU in a child that did nothing else, 2-core host).
+`harness.run_grid` therefore pins the parent before it forks its pool.
 
 Each solver is a generator `steps(X_0, L(X_0))`: it yields iteration 0 and
 then one (X_k, L(X_k)) per `next`, and keeps the state its recurrence
@@ -326,14 +330,16 @@ def _openblas_threads():
 def _single_blas_thread():
     """Run the body on one OpenBLAS thread and restore the count afterwards.
 
-    Does nothing when numpy's BLAS does not export the OpenBLAS calls.
+    Sets and restores nothing when the count already reads 1, or when
+    numpy's BLAS does not export the OpenBLAS calls: in a worker forked at
+    one thread a set call would restart OpenBLAS's thread server and its
+    spinning helper (see the module docstring).
     """
-    api = _openblas_threads()
-    if api is None:
+    get, put = _openblas_threads() or (lambda: 1, None)
+    before = get()
+    if before == 1:
         yield
         return
-    get, put = api
-    before = get()
     put(1)
     try:
         yield

@@ -357,6 +357,15 @@ class TestReadMeasurements:
         assert main(["solve", "--input", str(path), "--n", "2", "--iters", "5"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
 
+    @pytest.mark.parametrize("char", ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_only_a_line_end_ends_a_row(self, tmp_path, capsys, char):
+        # str.splitlines() would also break a row at these, and name line 3
+        path = tmp_path / "ff.csv"
+        path.write_text(f"z_1,z_2,b\n1.0,0.5,2.0\n0.3{char},1.0,2.0\n0.2,0.1\n", encoding="utf-8")
+        assert main(["solve", "--input", str(path), "--n", "2"]) == 2
+        assert "ff.csv:4: expected 3 columns, got 2" in capsys.readouterr().err
+
     def test_hash_is_not_a_comment(self, tmp_path, capsys):
         path = tmp_path / "h.csv"
         path.write_text("z_1,z_2,b\n1.0,0.5,2.0\n0.3,1.0 # note,2.0\n")

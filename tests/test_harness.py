@@ -1,6 +1,10 @@
+import contextlib
 import dataclasses
 import functools
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -480,24 +484,33 @@ class TestSingleBlasThread:
 
         cdll(NoSymbols)
 
-    def test_numpy_1_names_are_found(self, cdll, monkeypatch):
+    @pytest.fixture
+    def old_names(self, cdll):
+        """A BLAS under numpy 1.x's names; returns (count, set calls) for a starting count."""
+        def install(start):
+            count = [start]
+            calls = []
+
+            class OldNames:
+                def __init__(self, path):
+                    def get():
+                        return count[0]
+
+                    def put(k):
+                        calls.append(k)
+                        count[0] = k
+
+                    self.openblas_get_num_threads64_ = get
+                    self.openblas_set_num_threads64_ = put
+
+            cdll(OldNames)
+            return count, calls
+
+        return install
+
+    def test_numpy_1_names_are_found(self, old_names, monkeypatch):
         # numpy 1.x wheels export the calls without numpy 2's `scipy_` prefix
-        count = [4]
-        calls = []
-
-        class OldNames:
-            def __init__(self, path):
-                def get():
-                    return count[0]
-
-                def put(k):
-                    calls.append(k)
-                    count[0] = k
-
-                self.openblas_get_num_threads64_ = get
-                self.openblas_set_num_threads64_ = put
-
-        cdll(OldNames)
+        count, calls = old_names(4)
         assert solvers._openblas_threads() is not None
         inside = []
         solve_dr = solvers.solve_dr
@@ -510,6 +523,69 @@ class TestSingleBlasThread:
         run_trial(3, 12, 0.05, fast_cfg(20), seed=7)
         assert inside == [1]
         assert calls == [1, 4]
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_one_thread_makes_no_set_call(self, old_names, raises):
+        # a set call in a worker forked at one thread would restart the
+        # OpenBLAS thread server and its spinning helper
+        count, calls = old_names(1)
+        inside = []
+        with pytest.raises(KeyError) if raises else contextlib.nullcontext():
+            with solvers._single_blas_thread():
+                inside.append(count[0])
+                if raises:
+                    raise KeyError("not a solver failure")
+        assert inside == [1]
+        assert calls == []
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_run_grid_builds_its_pool_on_one_thread(self, blas, monkeypatch, raises):
+        # the pool's workers are forked at one thread, so that their own pin
+        # makes no set call; the parent's count comes back afterwards
+        built = []
+
+        def pool(max_workers):
+            built.append(blas())
+            return SerialPool(max_workers, sizes=[])
+
+        def task(*args):
+            if raises:
+                raise KeyError("not a solver failure")
+            return run_trial(*args)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(harness, "run_trial", task)
+        spec = GridSpec(n_values=[2, 3], m_values=[6], trials=1, solver=fast_cfg(5))
+        before = blas()
+        with pytest.raises(KeyError) if raises else contextlib.nullcontext():
+            run_grid(spec, workers=2)
+        assert built == [1]
+        assert blas() == before
+
+    def test_forked_worker_starts_no_blas_thread(self, blas):
+        # a child forked under the pin, as a pool worker is, solves a
+        # 3-trial group padded to M = 110 on its one OS thread
+        if not hasattr(os, "fork") or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs os.fork and /proc")
+        read, write = os.pipe()
+        with solvers._single_blas_thread():
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    run_trial(10, (90, 100, 110), 0.1, fast_cfg(20), (1, 2, 3), (0, 1, 2))
+                    os.write(write, f"{blas()} {len(os.listdir('/proc/self/task'))}".encode())
+                finally:
+                    os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 120
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish in 120 s")
+            time.sleep(0.01)
+        with os.fdopen(read) as fh:
+            assert fh.read() == "1 1"
 
     def test_missing_symbols_are_a_no_op(self, no_openblas):
         assert solvers._openblas_threads() is None
@@ -631,6 +707,16 @@ class TestCertifyStudy:
             run_certify_study(4, 30, 1.0, seeds, 0, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, args", [
+        ("seed", (4, 30, 1.0, 2, 2.5)), ("seed", (4, 30, 1.0, 2, 2.0)),
+        ("n", (4.0, 30, 1.0, 2, 0)), ("m", (4, 30.0, 1.0, 2, 0)),
+    ], ids=["seed-2.5", "seed-2.0", "n-4.0", "m-30.0"])
+    def test_n_m_and_seed_must_be_integers(self, tmp_path, name, args):
+        # at the parent seed 2.5 wrote seed 2's artifacts
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run_certify_study(*args, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestGridMonotonicity:
     def test_error_decreases_in_m(self):
@@ -644,6 +730,14 @@ class TestGridMonotonicity:
 
 
 class TestConvergenceStudy:
+    @pytest.mark.parametrize("name, args", [
+        ("seed", (4, 10, 2.5)), ("n", (4.0, 10, 0)), ("m", (4, 10.0, 0)),
+    ], ids=["seed-2.5", "n-4.0", "m-10.0"])
+    def test_n_m_and_seed_must_be_integers(self, tmp_path, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run_convergence_study(*args, tmp_path / "out", iters=5)
+        assert not (tmp_path / "out").exists()
+
     def test_six_files_and_shapes(self, tmp_path):
         paths = run_convergence_study(10, 60, 4, tmp_path, iters=400)
         assert len(paths) == 6
