@@ -15,7 +15,7 @@ from .harness import (
     run_grid,
     write_grid_csv,
 )
-from .linalg import COMPLEX, REAL
+from .linalg import COMPLEX, REAL, hermitian_dim
 from .sensing import MeasurementVector, SensingEnsemble
 from .solvers import SolverConfig, round_to_vector, solve
 
@@ -104,6 +104,7 @@ def cmd_certify(args):
 def read_measurements(path, n):
     """Parse `z_1..z_n,b` (real) or interleaved `re_k,im_k` columns (complex).
 
+    The file is read as UTF-8, with or without a leading byte order mark.
     Fields may be quoted and lines may end in CRLF; only a line end ends a
     row, so a form feed or other control character stays inside its line.
     Blank lines, empty or of spaces and tabs only, are skipped, and `#`
@@ -111,7 +112,7 @@ def read_measurements(path, n):
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         text = fh.read()
     if not text:
         raise ValueError(f"{path}: empty file")
@@ -169,7 +170,10 @@ def cmd_solve(args):
             print(f"{float(v.real)!r}{float(v.imag):+}j")
         else:
             print(repr(float(v)))
-    print(f"# residual={trace.final_residual!r} eigen_gap={gap!r}")
+    d = hermitian_dim(e.n, e.field)
+    regime = "under" if e.m < d else "critical" if e.m == d else "over"
+    print(f"# residual={trace.final_residual!r} eigen_gap={gap!r} "
+          f"steps={trace.points[-1].iteration} regime={regime}")
     return 0
 
 

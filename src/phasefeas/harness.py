@@ -13,10 +13,15 @@ arguments reproduces its CSV/PGM artifacts byte for byte (which is why
 the nondeterministic wall_ms column stays out of the files).
 
 A grid runs its trials in groups, one stacked solve per group (see
-`solvers`): the trials of one n, sorted by (m, trial) and cut into
-consecutive runs of at most `STACK_SIZE`, so that a group's trials have
-neighbouring m and a group's memory is bounded.  Each trial is drawn on
-its own, as a lone trial, and zero-padded to the group's largest m; the
+`solvers`): the trials of one n, sorted by (m, trial), cut first at
+m = d (`linalg.hermitian_dim`) and then into consecutive runs of at most
+`STACK_SIZE`, so that a group's trials have neighbouring m and a group's
+memory is bounded.  The cut at d keeps the two DR regimes apart: a DR
+group of m >= d, whose Gram matrices generically have full rank d, stops
+after one step, and a group of m < d runs all its steps; a stack that
+mixed them would run every trial to the end.  A Nesterov grid is cut the
+same way, and runs every step on both sides.  Each trial is drawn on its
+own, as a lone trial, and zero-padded to the group's largest m; the
 stack then goes to `solve` as one problem, with one Gram factorization
 and one set of calls per step for all its trials.  A lone trial runs
 the same way, as a stack of one, which gives the unstacked solve's bits.
@@ -47,7 +52,7 @@ from operator import attrgetter
 import numpy as np
 
 from .certificate import CertificateParams, CertificateReport, build_certificate, check_certificate
-from .linalg import require_integer
+from .linalg import hermitian_dim, require_integer
 from .sensing import (REAL, MeasurementVector, SensingEnsemble, add_noise, derive_seed, measure,
                       sample_ensemble)
 from .solvers import (DR, NESTEROV, SolverConfig, _single_blas_thread, format_cell, solve,
@@ -101,7 +106,7 @@ class TrialRow:
     m: int
     trial: int
     seed: int
-    iters: int
+    iters: int             # the configured cap, solver.max_iters, not the steps run
     recovery_error: float  # nan marks a failed solve
     residual: float
     wall_ms: float         # an equal share of its solve's time; informational only, never serialized
@@ -191,6 +196,14 @@ def _group_cost(task):
 
     Each of its T slices is lifted on the group's largest m, M rows of
     up to n^2 work each, and factored by an n x n eigh: T n^2 (M + n).
+    It ranks a group of m >= d, which DR solves in one step, as if it ran
+    every step, as a group of m < d does.  That overrates the one-step
+    groups, and they go out early, but on the benchmark grid it costs
+    little: from the groups' serial times (medians of 7 passes, 2-core
+    host), the larger load of 2 workers taking them in this order came
+    0.5 to 4% above an even split in four measurements, and at most 1.5%
+    above an order that counts one step for those groups.  So the cost
+    leaves the step count out.
 
     `run_grid` dispatches the costliest groups first because it measures
     faster than submission order (this cost patched to a constant) at 2
@@ -211,18 +224,21 @@ def run_grid(spec, workers=None):
     `workers` is an upper bound, defaulting to the usable cores: the grid
     runs on at most one worker per group, min(workers, groups), in process
     when that is 1 and otherwise in a pool of that many forked workers.
-    The trials run in groups: each n's trials in (m, trial) order, cut into
-    consecutive runs of at most `STACK_SIZE` (see the module docstring).
+    The trials run in groups: each n's trials in (m, trial) order, cut at
+    m = d and then into consecutive runs of at most `STACK_SIZE` (see the
+    module docstring).
     Groups go out one at a time, costliest first, so that no worker is left
     with the largest groups at the end while the others idle.
     """
     trials = sorted((m, t) for m in spec.m_values for t in range(spec.trials))
     tasks = []
     for n in spec.n_values:
-        for i in range(0, len(trials), STACK_SIZE):
-            ms, ts = zip(*trials[i:i + STACK_SIZE])
-            seeds = tuple(derive_seed(spec.master_seed, n, m, t) for m, t in zip(ms, ts))
-            tasks.append((n, ms, spec.eps, spec.solver, seeds, ts))
+        cut = sum(m < hermitian_dim(n, REAL) for m, _ in trials)  # grid trials are real
+        for part in (trials[:cut], trials[cut:]):
+            for i in range(0, len(part), STACK_SIZE):
+                ms, ts = zip(*part[i:i + STACK_SIZE])
+                seeds = tuple(derive_seed(spec.master_seed, n, m, t) for m, t in zip(ms, ts))
+                tasks.append((n, ms, spec.eps, spec.solver, seeds, ts))
     tasks.sort(key=_group_cost, reverse=True)
     if workers is None:
         workers = _usable_cores()
@@ -240,7 +256,11 @@ def run_grid(spec, workers=None):
 
 
 def write_grid_csv(result, path):
-    """Per-trial rows: TrialRow's fields in order, less the nondeterministic wall_ms."""
+    """Per-trial rows: TrialRow's fields in order, less the nondeterministic wall_ms.
+
+    `iters` is the configured cap, `SolverConfig.max_iters` (`--iters`), not
+    the steps a trial ran: a DR trial of m >= d stops after one step.
+    """
     names = [f.name for f in fields(TrialRow) if f.name != "wall_ms"]
     write_rows(path, names, map(attrgetter(*names), result.rows))
 

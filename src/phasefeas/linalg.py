@@ -31,6 +31,16 @@ def dtype_for(field):
     return np.complex128 if field == COMPLEX else np.float64
 
 
+def hermitian_dim(n, field):
+    """d, the real dimension of the n x n Hermitian matrices: n(n+1)/2 real, n^2 complex.
+
+    The lifted map L takes them to R^m, so its Gram matrix G = L L* has rank
+    at most min(m, d), and at rank d the affine slice {X : L(X) = b} is a
+    single point.
+    """
+    return n * n if check_field(field) == COMPLEX else n * (n + 1) // 2
+
+
 def hermitize(X):
     """Return (X + X*)/2, exactly self-adjoint entry by entry.
 

@@ -26,9 +26,9 @@ carries (DR's multiplier, Nesterov's extrapolated point and theta) in local
 variables.  Each L(X_k) serves both the trace and the next step.  The loop
 `_iterate` owns the rest: the method check, the check that b holds one
 value per sensing vector, the start (X = 0, or the hermitized warm start
-``X_start``, lifted dense), exactly ``cfg.max_iters`` steps, and the
-records.  DR's ``X_start`` is Y_0, and its generator yields
-X_0 = P_psd(Y_0); POCS's is X_0 itself; Nesterov takes none.  A record
+``X_start``, lifted dense), exactly the ``max_iters`` steps of the config
+it is given, and the records.  DR's ``X_start`` is Y_0, and its generator
+yields X_0 = P_psd(Y_0); POCS's is X_0 itself; Nesterov takes none.  A record
 holds the feasibility residual ||L(X) - b||_2 / ||b||_2, tr(X), and the
 recovery error when the ground truth is supplied.  Iterates are PSD after
 every step by construction (the last operation applied is always the PSD
@@ -36,6 +36,18 @@ projection), and exactly Hermitian, since `project_psd` returns them so.
 The matrix a DR or Nesterov step hands to `project_psd` carries the
 adjoint's rounding asymmetry, which `eigh` never reads; POCS symmetrizes
 its affine point, so that it is bit for bit the textbook `P_psd(P_aff(X))`.
+
+One rule shortens a DR solve.  When G has full rank d
+(`linalg.hermitian_dim`, generically m >= d), the affine slice is the
+single point a = L*(G^+ b), and DR from X = 0 reaches P_psd(a) = a_+ at
+iteration 1: with a = a_+ + a_- split into its positive and negative
+parts, Y_k = a_+ + k a_-, so every later iterate is a_+ again in exact
+arithmetic and the later steps only move rounding (at (10, 60), noiseless,
+the error read 3.1e-14 after one step and 2.4e-15 after 1000).  So a
+cold-start DR whose every slice has rank d runs `_iterate` with
+``max_iters = 1``, and its trace ends at iteration 1; the trace's last
+iteration is always the number of steps taken.  A warm start, a rank
+below d, POCS and Nesterov run all ``cfg.max_iters`` steps.
 
 A step gets every other lifted vector it needs by linearity.  DR steps
 Y_k = X_{k-1} - L*(q_k) on its affine multiplier
@@ -65,12 +77,13 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 
 import numpy as np
 
-from .linalg import dtype_for, hermitize, require_integer, require_same_shape, require_square
+from .linalg import (dtype_for, hermitian_dim, hermitize, require_integer, require_same_shape,
+                     require_square)
 from .projections import build_affine_projector, leading_eigenvector, project_psd, require_projector
 from .sensing import apply_adjoint, apply_lifted, apply_lifted_factor, require_measurements
 
@@ -227,9 +240,12 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
     L(Y_{k-1}) = L(X_{k-2}) - G q_{k-1} and G^+ G q_{k-1} = q_{k-1}.  The
     state between steps is q and L(X_{k-1}), two m-vectors; no Y is kept.
     A warm start is Y_0, and X_0 = P_psd(Y_0); each X_k, X_0 included, is
-    lifted through its PSD factor.  `p` must be factored from `e`.
+    lifted through its PSD factor.  `p` must be factored from `e`.  From
+    X = 0 with every slice of `p` at rank d, the solve stops at iteration 1.
     """
     require_projector(p, e)
+    if X_start is None and np.all(p.rank == hermitian_dim(e.n, e.field)):
+        cfg = replace(cfg, max_iters=1)  # a one-point slice (see the module docstring)
 
     def steps(Y, lY):
         X, lX = Y, lY

@@ -80,6 +80,18 @@ def lifted_matrix(e):
     return np.einsum("ij,ik->ijk", Z.conj(), Z).reshape(e.m, e.n * e.n)
 
 
+def least_squares_point(e, b):
+    """L*(G^+ b), the least-squares point of L(X) = b of least norm, by `lstsq` on `lifted_matrix`.
+
+    The skew part of X lies in the null space of the real part of A vec(X),
+    so the least-norm solution is Hermitian; `hermitize` only removes rounding.
+    """
+    A = lifted_matrix(e)
+    v = np.linalg.lstsq(np.hstack([A.real, -A.imag]), b.values, rcond=None)[0]
+    v = v[: A.shape[1]] + 1j * v[A.shape[1]:] if np.iscomplexobj(A) else v[: A.shape[1]]
+    return hermitize(v.reshape(e.n, e.n))
+
+
 @st.composite
 def instances(draw):
     """Small random instances of both fields, noisy or exact, with m = 1,

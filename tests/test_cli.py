@@ -234,6 +234,22 @@ class TestSolveCommand:
         phase /= abs(phase)
         assert np.linalg.norm(x * phase - x0) <= 1e-6
 
+    # d = n(n+1)/2 = 6 for n = 3, real, and n^2 = 4 for n = 2, complex; a
+    # generic frame of m >= d has Gram rank d, and DR stops after one step
+    @pytest.mark.parametrize("n, m, field, steps, regime", [
+        (3, 4, REAL, 20, "under"), (3, 6, REAL, 1, "critical"), (3, 14, REAL, 1, "over"),
+        (2, 3, COMPLEX, 20, "under"), (2, 4, COMPLEX, 1, "critical"),
+        (2, 7, COMPLEX, 1, "over")])
+    def test_last_line_names_steps_and_regime(self, tmp_path, capsys, n, m, field, steps,
+                                              regime):
+        e = sample_ensemble(n, m, field, seed=10)
+        b = measure(e, np.ones(n))
+        path = tmp_path / "meas.csv"
+        write_measurements(path, e, b)
+        assert main(["solve", "--input", str(path), "--n", str(n), "--iters", "20"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(rf"# residual=\S+ eigen_gap=\S+ steps={steps} regime={regime}", last)
+
     def test_bad_header_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -347,6 +363,17 @@ class TestReadMeasurements:
         for got in (read_measurements(plain, 3), read_measurements(dialect, 3)):
             assert np.array_equal(got[0].vectors, e.vectors)
             assert np.array_equal(got[1].values, b.values)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        # a spreadsheet's "CSV UTF-8" export starts the file with EF BB BF
+        text = b"z_1,z_2,b\n1.0,0.5,1.2\n0.3,1.0,0.9\n0.2,0.1,0.05\n"
+        outputs = []
+        for name, data in (("plain.csv", text), ("bom.csv", b"\xef\xbb\xbf" + text)):
+            (tmp_path / name).write_bytes(data)
+            assert main(["solve", "--input", str(tmp_path / name), "--n", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 3
 
     def test_whitespace_only_line_is_blank(self, tmp_path, capsys):
         path = tmp_path / "ws.csv"

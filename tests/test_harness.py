@@ -23,6 +23,7 @@ from phasefeas.harness import (
     sample_unit_sphere,
     write_grid_csv,
 )
+from phasefeas.linalg import hermitian_dim
 from phasefeas.sensing import MeasurementVector, derive_seed, measure, sample_ensemble
 from phasefeas.solvers import SolverConfig
 
@@ -173,8 +174,10 @@ class TestRunGrid:
         assert (spec.trials, spec.master_seed) == (2, 7)
 
     def test_costliest_trials_dispatched_first(self, monkeypatch):
-        # each n's 9 trials, in (m, trial) order, are cut into a stack of 8
-        # and a stack of 1; a group costs T n^2 (M + n)
+        # n = 2 and 3 (d = 3 and 6) have every m >= d, so their 9 trials, in
+        # (m, trial) order, are cut into a stack of 8 and a stack of 1; n = 5
+        # (d = 15) is cut at m = 15 first, into its 3 trials of m = 6 and its
+        # 6 of m = 20 and 30; a group costs T n^2 (M + n)
         order = []
         task = harness.run_trial
 
@@ -189,8 +192,11 @@ class TestRunGrid:
         assert costs == sorted(costs, reverse=True)
         head = (6, 6, 6, 20, 20, 20, 30, 30)
         assert [(n, ms) for n, ms, _ in order] == [
-            (5, head), (3, head), (2, head), (5, (30,)), (3, (30,)), (2, (30,))]
-        assert {ts for _, _, ts in order} == {(0, 1, 2, 0, 1, 2, 0, 1), (2,)}
+            (5, (20, 20, 20, 30, 30, 30)), (3, head), (2, head), (5, (6, 6, 6)), (3, (30,)),
+            (2, (30,))]
+        assert [ts for _, _, ts in order] == [
+            (0, 1, 2, 0, 1, 2), (0, 1, 2, 0, 1, 2, 0, 1), (0, 1, 2, 0, 1, 2, 0, 1), (0, 1, 2),
+            (2,), (2,)]
         keys = [(r.n, r.m, r.trial) for r in result.rows]
         assert keys == sorted(keys) and len(keys) == 27
 
@@ -300,13 +306,30 @@ class TestGrouping:
         serial = self.tasks(monkeypatch, spec, 1)
         pooled = self.tasks(monkeypatch, spec, 2)
         assert set(serial) == set(pooled) and len(serial) == len(pooled)
+        # n = 2 and 3 (d = 3 and 6) have every m >= d; n = 4 (d = 10) is cut
+        # at m = 10 first, into the 14 trials of m = 6 and 9 and the 21 above
+        sizes = {2: [8, 8, 8, 8, 3], 3: [8, 8, 8, 8, 3], 4: [8, 6, 8, 8, 5]}
         for n in spec.n_values:
             stacks = sorted((list(zip(ms, ts)), seeds) for k, ms, ts, seeds in serial if k == n)
-            assert [len(trials) for trials, _ in stacks] == [8, 8, 8, 8, 3]
+            assert [len(trials) for trials, _ in stacks] == sizes[n]
             flat = [mt for trials, _ in stacks for mt in trials]
             assert flat == sorted((m, t) for m in spec.m_values for t in range(spec.trials))
             for trials, seeds in stacks:
                 assert list(seeds) == [derive_seed(6, n, m, t) for m, t in trials]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_stack_holds_m_on_both_sides_of_d(self, monkeypatch, seed):
+        # random grids; d = n(n+1)/2, the real field's, since grid trials are real
+        rng = np.random.default_rng(seed)
+        n_values = sorted(set(rng.integers(1, 9, size=3).tolist()))
+        m_values = sorted(set(rng.integers(1, 40, size=6).tolist()))
+        spec = GridSpec(n_values=n_values, m_values=m_values, trials=int(rng.integers(1, 4)),
+                        solver=fast_cfg(2), master_seed=seed)
+        tasks = self.tasks(monkeypatch, spec, 2)
+        assert sum(len(ms) for _, ms, _, _ in tasks) == len(n_values) * len(m_values) * spec.trials
+        for n, ms, _, _ in tasks:
+            d = hermitian_dim(n, "real")
+            assert max(ms) < d or min(ms) >= d
 
     def test_straddling_m_writes_the_same_bytes_at_any_worker_count(self, tmp_path):
         # 3 trials of m = 6, 9 and 12: the 9 trials of n = 3 make stacks of
@@ -352,9 +375,10 @@ class TestPoolSize:
 
 class TestFailingSlice:
     def test_only_the_failing_trial_is_nan(self, tmp_path, monkeypatch):
-        # the 8 trials of n = 3 (m = 5..8, 2 trials each) fill one stacked
-        # group; a NaN measurement in (m = 7, trial 1) fails that stack,
-        # which reruns trial by trial
+        # the 8 trials of n = 3 (m = 5..8, 2 trials each) are cut at d = 6
+        # into the 6 trials of m = 6..8 and the 2 of m = 5; a NaN measurement
+        # in (m = 7, trial 1) fails the first stack, which reruns trial by
+        # trial, and leaves the stack of m = 5 alone
         spec = GridSpec(n_values=[3], m_values=[5, 6, 7, 8], trials=2, eps=0.1,
                         solver=fast_cfg(40), master_seed=4)
         bad = derive_seed(derive_seed(4, 3, 7, 1), 2)
@@ -378,7 +402,7 @@ class TestFailingSlice:
         monkeypatch.setattr(harness, "add_noise", poisoned)
         monkeypatch.setattr(harness, "solve", recorded)
         serial = run_grid(spec, workers=1)
-        assert sizes == [8] + [1] * 8
+        assert sizes == [6] + [1] * 6 + [2]
         for r in serial.rows:
             if (r.m, r.trial) == (7, 1):
                 assert math.isnan(r.recovery_error) and math.isnan(r.residual)

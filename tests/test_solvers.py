@@ -8,14 +8,16 @@ from _utils import (
     FIELDS,
     gram_matrix,
     instances,
+    least_squares_point,
     rand_hermitian,
     rand_square,
     rand_unit,
+    rand_vector,
     textbook_dr,
 )
 from phasefeas import projections, solvers
 from phasefeas.harness import run_trial
-from phasefeas.linalg import dtype_for, hermitize
+from phasefeas.linalg import dtype_for, hermitian_dim, hermitize
 from phasefeas.projections import (
     build_affine_projector,
     leading_eigenvector,
@@ -166,8 +168,8 @@ class TestDouglasRachford:
     @pytest.mark.xfail(
         strict=True,
         reason="at (n=10, m=60) the affine set is the single point X0 because "
-        "m >= n(n+1)/2 = 55, so DR converges at iteration 1 and the 100-600 "
-        "window sits flat at the numerical floor",
+        "m >= n(n+1)/2 = 55, so DR converges at iteration 1 and stops there: "
+        "the trace holds iterations 0 and 1 only, and has no 100-600 window",
     )
     def test_log_slope_window_at_spec_point(self):
         e, b, X0 = setup_instance(10, 60, 1)
@@ -381,11 +383,12 @@ class TestTraceExport:
 
     @pytest.mark.parametrize("method", ["dr", "pocs", "nesterov"])
     def test_iterations_strictly_increasing(self, method):
+        # m = 9 >= d = 6: G has full rank, so DR from X = 0 stops at iteration 1
         e, b, X0 = setup_instance(3, 9, 9)
         t = solve(e, b, SolverConfig(method=method, max_iters=10, record_every=3), X0_true=X0)
         its = [pt.iteration for pt in t.points]
         assert its == sorted(set(its))
-        assert its[-1] == 10
+        assert its == ([0, 1] if method == "dr" else [0, 3, 6, 9, 10])
 
 
 class TestMeasurementCheck:
@@ -606,17 +609,22 @@ class TestStepEquivalence:
         # eps = 0.1 with m past the dimension of the Hermitian matrices: G is
         # rank-deficient, b lies off the range of L, and the textbook Y drifts
         # without bound while X settles; 2000 steps of the multiplier
-        # recursion must not drift away from it
+        # recursion must not drift away from it.  G has full rank d here, so
+        # the cold start stops after one step; the warm start Y_0 = 0, the
+        # same start, runs all 2000
         rng = np.random.default_rng(derive_seed(n, 0))
         e = sample_ensemble(n, m, field, seed=derive_seed(n, 1))
         b = add_noise(measure(e, rand_unit(rng, n, field)), 0.1, 1.0, seed=derive_seed(n, 2))
         p = build_affine_projector(e, b)
-        assert p.rank < m
+        assert p.rank == hermitian_dim(n, field) < m
         k = 2000
-        path = textbook_dr(p, e, np.zeros((n, n), dtype=dtype_for(field)), k)
+        zero = np.zeros((n, n), dtype=dtype_for(field))
+        path = textbook_dr(p, e, zero, k)
         assert np.linalg.norm(path[-1][1]) > 4 * np.linalg.norm(path[99][1])
-        t = solve_dr(p, e, SolverConfig(max_iters=k, record_every=k))
-        assert _rel_gap(t.final_X, path[-1][0]) <= 1e-10
+        for X_start, steps in ((None, 1), (zero, k)):
+            t = solve_dr(p, e, SolverConfig(max_iters=k, record_every=k), X_start=X_start)
+            assert t.points[-1].iteration == steps
+            assert _rel_gap(t.final_X, path[-1][0]) <= 1e-10
 
     @EQUIVALENCE
     @given(instances(), st.integers(1, 25), st.integers(0, 2**32 - 1))
@@ -651,6 +659,77 @@ class TestStepEquivalence:
                            alpha=alpha, lambda_trace=lam)
         t = solve_nesterov(e, b, cfg)
         assert _rel_gap(t.final_X, X) <= 1e-10
+
+
+class TestOnePointSlice:
+    """At full Gram rank d the affine slice is one point; cold-start DR stops at iteration 1."""
+
+    @staticmethod
+    def instance(seed, field, rank_deficit=0):
+        """A frame of random n and m >= d: d - `rank_deficit` generic rows, then repeats of them.
+
+        The measurements are of a random unit vector, noiseless for an even
+        seed and at eps = 0.1 for an odd one.
+        """
+        rng = np.random.default_rng(derive_seed(seed, 11))
+        n = int(rng.integers(1 + rank_deficit, 6))
+        d = hermitian_dim(n, field)
+        m = d + int(rng.integers(rank_deficit, 6))
+        rows = [rand_vector(rng, n, field) for _ in range(d - rank_deficit)]
+        rows += [rows[int(rng.integers(len(rows)))] for _ in range(m - len(rows))]
+        e = SensingEnsemble(vectors=np.array(rows))
+        b = add_noise(measure(e, rand_unit(rng, n, field)), 0.1 * (seed % 2), 1.0,
+                      seed=derive_seed(seed, 12))
+        return e, b, build_affine_projector(e, b)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cold_dr_stops_at_the_textbook_fixed_point(self, field, seed):
+        e, b, p = self.instance(seed, field)
+        assert p.rank == hermitian_dim(e.n, field) and e.m >= p.rank
+        cfg = SolverConfig(max_iters=300, record_every=1)
+        t = solve_dr(p, e, cfg)
+        assert [pt.iteration for pt in t.points] == [0, 1]
+        assert [pt.iteration for pt in solve(e, b, cfg).points] == [0, 1]
+        X = t.final_X
+        exact = project_psd(least_squares_point(e, b))[0]
+        assert np.all(np.abs(X - exact) <= 1e-12 + 1e-8 * np.abs(exact))
+        # the textbook loop's Y grows as k a_-, so its X_300 also carries the
+        # rounding of a point that large (at seed 1, real, cond(G) = 2.4e6, 7.3
+        # units of the tolerance off the exact point, where X is 0.04 units off)
+        X300 = textbook_dr(p, e, np.zeros((e.n, e.n), dtype=dtype_for(field)), 300)[-1][0]
+        assert np.all(np.abs(X - X300) <= 1e-12 + 1e-8 * np.abs(X300) + np.abs(X300 - exact))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_below_d_runs_every_step(self, field, seed):
+        # m >= d rows, but only d - 1 of them distinct: the measured rank decides
+        e, b, p = self.instance(seed, field, rank_deficit=1)
+        assert p.rank == hermitian_dim(e.n, field) - 1 and e.m >= p.rank + 1
+        assert solve_dr(p, e, SolverConfig(max_iters=30)).points[-1].iteration == 30
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_warm_start_pocs_and_nesterov_run_every_step(self, field, seed):
+        e, b, p = self.instance(seed, field)
+        assert p.rank == hermitian_dim(e.n, field)
+        S = rand_square(np.random.default_rng(seed), e.n, field)
+        alpha = 1.0 / gram_matrix(e).trace()
+        traces = [solve_dr(p, e, SolverConfig(max_iters=30), X_start=S),
+                  solve_pocs(p, e, SolverConfig(method="pocs", max_iters=30)),
+                  solve_nesterov(e, b, SolverConfig(method="nesterov", max_iters=30, alpha=alpha))]
+        assert [t.points[-1].iteration for t in traces] == [30, 30, 30]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_projector_rank_of_a_generic_frame(self, field, seed):
+        rng = np.random.default_rng(derive_seed(seed, 13))
+        n = int(rng.integers(1, 7))
+        d = hermitian_dim(n, field)
+        m = int(rng.integers(1, d + 8))
+        e = sample_ensemble(n, m, field, seed=derive_seed(seed, 14))
+        b = measure(e, rand_unit(rng, n, field))
+        assert build_affine_projector(e, b).rank == min(m, d)
 
 
 class TestSymmetryContracts:

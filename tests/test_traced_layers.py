@@ -175,5 +175,8 @@ def test_traced_grid_call_identities(monkeypatch):
     assert calls["linalg.eig"] == (calls["projections.project_psd"]
                                    + calls["projections.leading_eigenvector"])
     assert calls["eigh"] == calls["linalg.eig"] + calls["projections.build_affine_projector"]
-    # each group's trials share one Gram factorization
-    assert calls["projections.build_affine_projector"] == calls["harness.run_trial"] == 2
+    # each group's trials share one Gram factorization; n = 3 (d = 6) is one
+    # group, and n = 5 is cut at d = 15 into m = 6..14 and m = 20
+    assert calls["projections.build_affine_projector"] == calls["harness.run_trial"] == 3
+    # the groups of m >= d stop after one step, the other runs all 30
+    assert sorted(iterations) == [1, 1, 30]

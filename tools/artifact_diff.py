@@ -13,10 +13,14 @@ library and numpy only.
 Artifacts, each run at OPENBLAS_NUM_THREADS=1 and 2:
 
   grid            the benchmark grid, --n 5:20:5 --m 10:110:10 --trials 1
-                  (8 groups), at --threads 1, 2 and 16
+                  (9 groups), at --threads 1, 2 and 16
   grid-nesterov   --solver nesterov --alpha 0.05 --n 2:10:2 --m 6:40:6
-                  --trials 2 --iters 300 --seed 3 (55 of 60 rows nan; 10
+                  --trials 2 --iters 300 --seed 3 (55 of 60 rows nan; 12
                   groups), at --threads 1, 2 and 16
+  grid-critical   --n 10 --m 50:60:1 --trials 2 --iters 300: m crosses
+                  d = n(n+1)/2 = 55, where DR's affine slice becomes one
+                  point, and m = 55 gives a square Gram matrix of full rank
+                  (4 groups), at --threads 1, 2 and 16
   converge-10-60  converge --n 10 --m 60
   converge-20-250 converge --n 20 --m 250 --iters 300
   certify         certify --n 20 --m 1199 --seeds 8
@@ -32,7 +36,7 @@ For each file and OpenBLAS thread count the table gives OLD against NEW:
 |a - b| / (1e-12 + 1e-8 |b|) over them, with b the OLD value (a cell is
 what lies between commas, blanks and `=`); or "differs" for any other
 difference.  A grid's entry is the worse of its three worker counts; 16
-is more than either grid's groups, so that run shows that a worker count
+is more than any grid's groups, so that run shows that a worker count
 above the group count moves no byte.  The last column says whether NEW's
 outputs of that file at every worker count and both thread counts are
 byte-identical.
@@ -58,6 +62,7 @@ GRIDS = {
     "grid": ["--n", "5:20:5", "--m", "10:110:10", "--trials", "1"],
     "grid-nesterov": ["--solver", "nesterov", "--alpha", "0.05", "--n", "2:10:2",
                       "--m", "6:40:6", "--trials", "2", "--iters", "300", "--seed", "3"],
+    "grid-critical": ["--n", "10", "--m", "50:60:1", "--trials", "2", "--iters", "300"],
 }
 
 
