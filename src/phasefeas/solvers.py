@@ -20,14 +20,16 @@ restarts it, with a helper thread that spins for 2^28 cycles before it
 sleeps (0.13 s of CPU in a child that did nothing else, 2-core host).
 `harness.run_grid` therefore pins the parent before it forks its pool.
 
-Each solver is a generator `steps(X_0, L(X_0))`: it yields iteration 0 and
-then one (X_k, L(X_k)) per `next`, and keeps the state its recurrence
-carries (DR's multiplier, Nesterov's extrapolated point and theta) in local
-variables.  Each L(X_k) serves both the trace and the next step.  The loop
-`_iterate` owns the rest: the method check, the check that b holds one
-value per sensing vector, the start (X = 0, or the hermitized warm start
-``X_start``, lifted dense), exactly the ``max_iters`` steps of the config
-it is given, and the records.  DR's ``X_start`` is Y_0, and its generator
+Each solver is a generator `steps(X_0, L(X_0), residual)`: it yields
+iteration 0 and then one (X_k, L(X_k)) per `next`, and keeps the state its
+recurrence carries (DR's multiplier, Nesterov's extrapolated point and
+theta) in local variables.  Each L(X_k) serves both the trace and the next
+step.  The loop `_iterate` owns the rest: the method check, the check that
+b holds one value per sensing vector, the start (X = 0, or the hermitized
+warm start ``X_start``, lifted dense), exactly the ``max_iters`` steps of
+the config it is given, the records, and ||b||, in the map `residual` from
+L(X) to the relative residual, which it hands to the generator for
+Nesterov's divergence guard.  DR's ``X_start`` is Y_0, and its generator
 yields X_0 = P_psd(Y_0); POCS's is X_0 itself; Nesterov takes none.  A record
 holds the feasibility residual ||L(X) - b||_2 / ||b||_2, tr(X), and the
 recovery error when the ground truth is supplied.  Iterates are PSD after
@@ -163,25 +165,25 @@ def _frobenius(X):
     return _norms(X.reshape(X.shape[:-2] + (-1,)))
 
 
-def _residual_scale(b):
-    """||b||_2 per slice, or 1 where b = 0, to divide ||L(X) - b||_2 by; a scalar for one b."""
+def _relative_residual(b):
+    """The map L(X) -> ||L(X) - b||_2 / ||b||_2, per slice; the bare norm where b = 0.
+
+    ||b|| is taken once, here, for every call of the map.
+    """
     b_norm = _norms(b.values)
-    return np.where(b_norm > 0, b_norm, 1.0)[()]
-
-
-def _relative_residual(lifted, b, scale):
-    """||L(X) - b||_2 / ||b||_2 from L(X), per slice; the bare norm where b = 0."""
-    return _norms(lifted - b.values) / scale
+    scale = np.where(b_norm > 0, b_norm, 1.0)[()]
+    return lambda lifted: _norms(lifted - b.values) / scale
 
 
 def _iterate(method, e, b, cfg, X0_true, X_start, steps):
-    """The iteration loop shared by every solver: X_k, L(X_k) = next(steps(X, L(X))).
+    """The iteration loop shared by every solver: X_k, L(X_k) = next(steps(X, L(X), residual)).
 
     Checks that `cfg.method` is `method` and that `b` holds one value per
     sensing vector of `e`, starts from X = 0 (one per slice of a stacked
     `e`) or from the hermitized warm start `X_start`, in the field's dtype,
     lifts it dense, and draws iterations 0 to `cfg.max_iters` from the
-    generator `steps(X, L(X))`.  Records iteration 0, every
+    generator `steps(X, L(X), residual)`, where `residual` maps L(X) to
+    the relative residual that the records hold.  Records iteration 0, every
     `record_every`-th iteration and the last iteration, each once; the
     recovery error divides by ||X0_true||_F, computed once, as is ||b||.
     The norms are `np.linalg.norm`'s bit for bit, per slice.  Every X after
@@ -201,7 +203,7 @@ def _iterate(method, e, b, cfg, X0_true, X_start, steps):
         if not np.all(np.isfinite(X_start)):
             raise ValueError("non-finite warm start")
         X = hermitize(X_start).astype(dtype)
-    scale = _residual_scale(b)
+    residual = _relative_residual(b)
     error = np.full(X.shape[:-2], math.nan)
     if X0_true is not None:
         X0_true = require_same_shape(X, X0_true)[1]
@@ -210,7 +212,7 @@ def _iterate(method, e, b, cfg, X0_true, X_start, steps):
         x0_norm = _frobenius(X0_true)
         if np.any(x0_norm == 0):
             raise ValueError("X0 must be nonzero")
-    iterates = steps(X, apply_lifted(e, X))
+    iterates = steps(X, apply_lifted(e, X), residual)
     points = []
     for k in range(cfg.max_iters + 1):
         try:
@@ -220,7 +222,7 @@ def _iterate(method, e, b, cfg, X0_true, X_start, steps):
         if k % cfg.record_every == 0 or k == cfg.max_iters:
             if X0_true is not None:
                 error = _frobenius(X - X0_true) / x0_norm
-            res = _relative_residual(lX, b, scale)
+            res = residual(lX)
             tr = X.trace(axis1=-2, axis2=-1).real
             # the sum is finite only if every residual and trace is; an overflowing sum also raises
             if not math.isfinite(np.add.reduce(res + tr, axis=None)):
@@ -247,7 +249,7 @@ def solve_dr(p, e, cfg, X0_true=None, X_start=None):
     if X_start is None and np.all(p.rank == hermitian_dim(e.n, e.field)):
         cfg = replace(cfg, max_iters=1)  # a one-point slice (see the module docstring)
 
-    def steps(Y, lY):
+    def steps(Y, lY, residual):
         X, lX = Y, lY
         if X_start is not None:
             X, W = project_psd(Y)
@@ -275,7 +277,7 @@ def solve_pocs(p, e, cfg, X0_true=None, X_start=None):
     """
     require_projector(p, e)
 
-    def steps(X, lX):
+    def steps(X, lX, residual):
         while True:
             yield X, lX
             r = lX - p.b.values
@@ -300,9 +302,8 @@ def solve_nesterov(e, b, cfg, X0_true=None):
     exceeds 1e6 or is not finite (step size too large), in any slice of a
     stack; the guard checks every step, not only recorded ones.
     """
-    def steps(X, lX):
+    def steps(X, lX, residual):
         Y, lY, theta = X, lX, 1.0
-        scale = _residual_scale(b)
         while True:
             yield X, lX
             V = Y - cfg.alpha * apply_adjoint(e, lY - b.values)
@@ -310,7 +311,7 @@ def solve_nesterov(e, b, cfg, X0_true=None):
             V.reshape(V.shape[:-2] + (-1,))[..., :: e.n + 1] -= cfg.alpha * cfg.lambda_trace
             X_new, W = project_psd(V)
             lX_new = apply_lifted_factor(e, W)
-            res = np.maximum.reduce(_relative_residual(lX_new, b, scale), axis=None)
+            res = np.maximum.reduce(residual(lX_new), axis=None)
             if not res <= DIVERGENCE_LIMIT:
                 raise RuntimeError(f"step size too large: residual {res:.3e}")
             theta_new = _next_theta(theta)

@@ -1,9 +1,12 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import functools
 import math
+import multiprocessing
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -269,11 +272,16 @@ def test_grid_rows_do_not_depend_on_record_every(solver, kwargs):
 class SerialPool:
     """A stand-in for ProcessPoolExecutor that runs the tasks in order, in process.
 
-    Each pool appends its `max_workers` to `sizes`.
+    Each pool appends its `max_workers` to `sizes`, and the `mp_context` it
+    receives to `contexts` when that list is given.  `run_grid` imports the
+    pool from `concurrent.futures` when it builds one, so a test installs
+    the stand-in there.
     """
 
-    def __init__(self, max_workers, sizes):
+    def __init__(self, max_workers, mp_context, sizes, contexts=None):
         sizes.append(max_workers)
+        if contexts is not None:
+            contexts.append(mp_context)
 
     def __enter__(self):
         return self
@@ -296,7 +304,8 @@ class TestGrouping:
 
         with monkeypatch.context() as patch:
             patch.setattr(harness, "run_trial", recorded)
-            patch.setattr(harness, "ProcessPoolExecutor", functools.partial(SerialPool, sizes=[]))
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                          functools.partial(SerialPool, sizes=[]))
             run_grid(spec, workers=workers)
         return seen
 
@@ -356,7 +365,8 @@ class TestPoolSize:
         """The `max_workers` of each pool `run_grid` builds, on a host of 64 usable cores."""
         sizes = []
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "ProcessPoolExecutor", functools.partial(SerialPool, sizes=sizes))
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                          functools.partial(SerialPool, sizes=sizes))
             patch.setattr(harness, "_usable_cores", lambda: 64)
             run_grid(spec, workers=workers)
         return sizes
@@ -371,6 +381,20 @@ class TestPoolSize:
     def test_in_process_builds_no_pool(self, monkeypatch, n_values, workers):
         spec = dataclasses.replace(self.SPEC, n_values=n_values)
         assert self.pool_sizes(monkeypatch, spec, workers) == []
+
+    @pytest.mark.parametrize("platform, method", [("linux", "fork"), ("darwin", None)])
+    def test_pool_forks_on_linux_only(self, monkeypatch, platform, method):
+        # forked workers inherit the one-thread pin and count in the parent's
+        # RUSAGE_CHILDREN; elsewhere the platform's default start method stays
+        if method is not None and method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        contexts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                          functools.partial(SerialPool, sizes=[], contexts=contexts))
+            patch.setattr(sys, "platform", platform)
+            run_grid(self.SPEC, workers=2)
+        assert [c and c.get_start_method() for c in contexts] == [method]
 
 
 class TestFailingSlice:
@@ -568,16 +592,16 @@ class TestSingleBlasThread:
         # makes no set call; the parent's count comes back afterwards
         built = []
 
-        def pool(max_workers):
+        def pool(max_workers, mp_context):
             built.append(blas())
-            return SerialPool(max_workers, sizes=[])
+            return SerialPool(max_workers, mp_context, sizes=[])
 
         def task(*args):
             if raises:
                 raise KeyError("not a solver failure")
             return run_trial(*args)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         monkeypatch.setattr(harness, "run_trial", task)
         spec = GridSpec(n_values=[2, 3], m_values=[6], trials=1, solver=fast_cfg(5))
         before = blas()
